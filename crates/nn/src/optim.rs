@@ -276,6 +276,93 @@ mod tests {
         assert!(b < 0.05, "adam loss {b}");
     }
 
+    /// The scalar, index-based Adam loop `Adam::step` must match bit for
+    /// bit: per element `m`, `v`, `m̂ = m / bc1`, `v̂ = v / bc2`, then
+    /// `w -= lr · m̂ / (√v̂ + ε)`, in exactly this operation order.
+    fn reference_adam_step(
+        w: &mut [f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        g: &[f64],
+        lr: f64,
+        t: u64,
+    ) {
+        let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+        let bc1 = 1.0 - f64::powf(beta1, t as f64);
+        let bc2 = 1.0 - f64::powf(beta2, t as f64);
+        for i in 0..w.len() {
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            w[i] -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    }
+
+    #[test]
+    fn adam_step_matches_scalar_reference_bitwise() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        // Widths that leave ragged tails for any SIMD lane count.
+        let mut mlp = Mlp::new(
+            &[7, 33, 18, 1],
+            Activation::LeakyRelu(0.01),
+            Activation::Identity,
+            &mut rng,
+        );
+        let mut reference: Vec<(Vec<f64>, Vec<f64>)> = mlp
+            .layers()
+            .iter()
+            .map(|l| (l.w.data().to_vec(), l.b.clone()))
+            .collect();
+        let mut moments: Vec<[Vec<f64>; 4]> = reference
+            .iter()
+            .map(|(w, b)| {
+                [
+                    vec![0.0; w.len()],
+                    vec![0.0; w.len()],
+                    vec![0.0; b.len()],
+                    vec![0.0; b.len()],
+                ]
+            })
+            .collect();
+        let mut adam = Adam::new();
+        for t in 1..=25u64 {
+            let grads = MlpGrads {
+                layers: mlp
+                    .layers()
+                    .iter()
+                    .map(|l| crate::layer::LinearGrads {
+                        dw: Matrix::from_vec(
+                            l.w.rows(),
+                            l.w.cols(),
+                            (0..l.w.data().len())
+                                .map(|_| rng.random_range(-2.0..2.0))
+                                .collect(),
+                        ),
+                        db: (0..l.b.len())
+                            .map(|_| rng.random_range(-2.0..2.0))
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            let lr = 1e-3 * 0.5_f64.powi((t / 10) as i32);
+            adam.step(&mut mlp, &grads, lr);
+            for (((w, b), [mw, vw, mb, vb]), g) in reference
+                .iter_mut()
+                .zip(moments.iter_mut())
+                .zip(&grads.layers)
+            {
+                reference_adam_step(w, mw, vw, g.dw.data(), lr, t);
+                reference_adam_step(b, mb, vb, &g.db, lr, t);
+            }
+            for (layer, (w, b)) in mlp.layers().iter().zip(&reference) {
+                assert_eq!(layer.w.data(), w.as_slice(), "weights at t={t}");
+                assert_eq!(&layer.b, b, "biases at t={t}");
+            }
+        }
+    }
+
     #[test]
     fn reset_clears_state() {
         let mut adam = Adam::new();
