@@ -75,6 +75,12 @@ cargo test -q --offline -p warper-serve --features faults --test net_failover
 echo "== portable-path proptests (no target-cpu=native)"
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-linalg --test gemm32_proptests
+# The f64 training kernels (GEMM register tiles, vectorized Adam) must stay
+# bit-identical to their naive loops at the portable SIMD width too.
+RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --offline -p warper-linalg --test proptests
+RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --offline -p warper-nn --test proptests
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-ce --test quant_proptests
 # Cross-shard packing must stay bit-identical to isolated serving on the

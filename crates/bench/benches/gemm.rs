@@ -1,6 +1,9 @@
 //! GEMM kernel benchmark: seed kernel vs blocked serial vs blocked+parallel,
 //! plus end-to-end `Mlp::train_epoch` (workspace path) vs the allocating
-//! cached path it replaced, plus the f32/int8 inference microkernels
+//! cached path it replaced, plus the forward/backward/optimizer split of one
+//! Adam training step on the shapes set-up and adaptation actually train
+//! (the LM-MLP `fit` and the serving-scale encoder, generator and
+//! discriminator), plus the f32/int8 inference microkernels
 //! (`warper_linalg::gemm32`) against the f64 blocked kernel on the serving
 //! layer shape.
 //!
@@ -13,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 use warper_linalg::{gemm, Matrix};
-use warper_nn::{Activation, Mlp, Workspace};
+use warper_nn::{Activation, Adam, Mlp, Optimizer, Workspace};
 
 /// The seed repository's dense kernel, kept verbatim as the baseline: naive
 /// i-k-j loop with a zero-skip on the left operand, allocating its output.
@@ -185,6 +188,7 @@ fn bench_train_epoch(out: &mut Vec<(String, serde_json::Value)>) {
         ws_s * 1e3,
         cached_s / ws_s
     );
+    let steps: Vec<serde_json::Value> = TRAIN_SHAPES.iter().map(bench_train_step).collect();
     out.push((
         "mlp_train_epoch".into(),
         serde_json::json!({
@@ -192,8 +196,152 @@ fn bench_train_epoch(out: &mut Vec<(String, serde_json::Value)>) {
             "cached_alloc_path_ms": cached_s * 1e3,
             "workspace_path_ms": ws_s * 1e3,
             "speedup": cached_s / ws_s,
+            "train_steps": steps,
         }),
     ));
+}
+
+/// The loss a training shape backpropagates, and whether the chain it sits
+/// in reads the network's input gradient.
+#[derive(Clone, Copy)]
+enum StepLoss {
+    Mse,
+    L1,
+    CrossEntropy,
+}
+
+/// One network shape as set-up or adaptation trains it.
+struct TrainShape {
+    name: &'static str,
+    dims: &'static [usize],
+    hidden_act: Activation,
+    batch: usize,
+    examples: usize,
+    epochs: usize,
+    loss: StepLoss,
+    input_grad: bool,
+}
+
+/// The LM-MLP offline `fit` (`LmMlpParams::default()` on the 18-feature
+/// PRSA map: 400 examples, 40 epochs) and the serving-scale controller's
+/// modules (`embed_dim` 8, `hidden` 32, batch 64; the encoder is the head
+/// of every chain, the generator feeds it, the discriminator is one layer).
+const TRAIN_SHAPES: [TrainShape; 4] = [
+    TrainShape {
+        name: "lm_mlp_fit",
+        dims: &[18, 64, 32, 1],
+        hidden_act: Activation::Relu,
+        batch: 32,
+        examples: 400,
+        epochs: 40,
+        loss: StepLoss::Mse,
+        input_grad: false,
+    },
+    TrainShape {
+        name: "encoder",
+        dims: &[20, 32, 32, 32, 8],
+        hidden_act: Activation::LeakyRelu(0.01),
+        batch: 64,
+        examples: 400,
+        epochs: 3,
+        loss: StepLoss::Mse,
+        input_grad: false,
+    },
+    TrainShape {
+        name: "generator",
+        dims: &[8, 32, 32, 32, 18],
+        hidden_act: Activation::LeakyRelu(0.01),
+        batch: 64,
+        examples: 400,
+        epochs: 3,
+        loss: StepLoss::L1,
+        input_grad: true,
+    },
+    TrainShape {
+        name: "discriminator",
+        dims: &[8, 3],
+        hidden_act: Activation::Identity,
+        batch: 64,
+        examples: 400,
+        epochs: 3,
+        loss: StepLoss::CrossEntropy,
+        input_grad: false,
+    },
+];
+
+/// Times one shape's training steps phase by phase: forward, backward
+/// (loss gradient included) and the Adam step, each as the median over
+/// repeated runs of its mean µs per step.
+fn bench_train_step(shape: &TrainShape) -> serde_json::Value {
+    let mut rng = StdRng::seed_from_u64(12);
+    let din = shape.dims[0];
+    let dout = *shape.dims.last().unwrap();
+    let x = random_matrix(shape.examples, din, &mut rng);
+    let y = random_matrix(shape.examples, dout, &mut rng);
+    let labels: Vec<usize> = (0..shape.examples).map(|i| i % dout).collect();
+    let net0 = Mlp::new(shape.dims, shape.hidden_act, Activation::Identity, &mut rng);
+    let order: Vec<usize> = (0..shape.examples).collect();
+    let steps_per_run = shape.epochs * shape.examples.div_ceil(shape.batch);
+
+    const RUNS: usize = 15;
+    let mut runs: Vec<[f64; 4]> = Vec::with_capacity(RUNS);
+    let (mut bx, mut by, mut bl) = (Matrix::default(), Matrix::default(), Vec::new());
+    for _ in 0..=RUNS {
+        let mut net = net0.clone();
+        let mut opt = Adam::new();
+        let mut ws = Workspace::new();
+        let mut t = [0.0f64; 3];
+        let run0 = Instant::now();
+        for _ in 0..shape.epochs {
+            for chunk in order.chunks(shape.batch) {
+                bx.gather_rows(&x, chunk);
+                by.gather_rows(&y, chunk);
+                bl.clear();
+                bl.extend(chunk.iter().map(|&i| labels[i]));
+                let t0 = Instant::now();
+                net.forward_ws(&bx, &mut ws);
+                let t1 = Instant::now();
+                black_box(match shape.loss {
+                    StepLoss::Mse => ws.mse(&by),
+                    StepLoss::L1 => ws.l1(&by),
+                    StepLoss::CrossEntropy => ws.softmax_cross_entropy(&bl),
+                });
+                net.backprop_ws(&mut ws, shape.input_grad);
+                let t2 = Instant::now();
+                opt.step(&mut net, &ws.grads, 1e-3);
+                let t3 = Instant::now();
+                t[0] += (t1 - t0).as_secs_f64();
+                t[1] += (t2 - t1).as_secs_f64();
+                t[2] += (t3 - t2).as_secs_f64();
+            }
+        }
+        let total = run0.elapsed().as_secs_f64();
+        black_box(&net);
+        let per_step = |s: f64| s * 1e6 / steps_per_run as f64;
+        runs.push([per_step(t[0]), per_step(t[1]), per_step(t[2]), total * 1e3]);
+    }
+    // The first run is a warm-up.
+    runs.remove(0);
+    let median = |i: usize| {
+        let mut v: Vec<f64> = runs.iter().map(|r| r[i]).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (fwd, bwd, optim, run_ms) = (median(0), median(1), median(2), median(3));
+    println!(
+        "  train step {:<13} {:?} b={}: forward {fwd:.2} us | backward {bwd:.2} us | adam {optim:.2} us | {steps_per_run} steps {run_ms:.2} ms",
+        shape.name, shape.dims, shape.batch
+    );
+    serde_json::json!({
+        "name": shape.name,
+        "dims": shape.dims,
+        "batch": shape.batch,
+        "steps": steps_per_run,
+        "forward_us_per_step": fwd,
+        "backward_us_per_step": bwd,
+        "optimizer_us_per_step": optim,
+        "run_ms": run_ms,
+    })
 }
 
 fn bench_gemm32(out: &mut Vec<(String, serde_json::Value)>) {

@@ -268,23 +268,20 @@ impl Mscn {
         } else {
             pooled
         };
-        let (loss, dout) = {
-            let out = self.head.forward_ws(&head_in, &mut scratch.head);
-            warper_nn::loss::mse(out, y)
-        };
-        self.head.backward_ws(&mut scratch.head, &dout);
+        self.head.forward_ws(&head_in, &mut scratch.head);
+        let loss = scratch.head.mse(y);
+        self.head.backprop_ws(&mut scratch.head, true);
 
         // Split head-input gradient back into pooled and join parts.
         let dhead_in = scratch.head.input_grad();
         let mut dpooled = Matrix::zeros(b, h);
-        let mut djoin_u: Option<Matrix> = None;
         if has_join {
-            let mut dj = Matrix::zeros(b, h);
+            let dj = scratch.join.output_grad_mut();
+            dj.ensure_shape(b, h);
             for r in 0..b {
                 dpooled.row_mut(r).copy_from_slice(&dhead_in.row(r)[..h]);
                 dj.row_mut(r).copy_from_slice(&dhead_in.row(r)[h..]);
             }
-            djoin_u = Some(dj);
         } else {
             for r in 0..b {
                 dpooled.row_mut(r).copy_from_slice(dhead_in.row(r));
@@ -292,7 +289,8 @@ impl Mscn {
         }
 
         // Pooling backward: each table unit receives dpooled / T.
-        let mut dunits = Matrix::zeros(b * t, h);
+        let dunits = scratch.pred.output_grad_mut();
+        dunits.ensure_shape(b * t, h);
         for r in 0..b {
             for ti in 0..t {
                 let src = dpooled.row(r);
@@ -302,14 +300,16 @@ impl Mscn {
                 }
             }
         }
-        self.pred_net.backward_ws(&mut scratch.pred, &dunits);
+        self.pred_net.backprop_ws(&mut scratch.pred, false);
 
         self.opt_head.step(&mut self.head, &scratch.head.grads, lr);
         self.opt_pred
             .step(&mut self.pred_net, &scratch.pred.grads, lr);
-        if let (Some(jn), Some(dj)) = (&mut self.join_net, djoin_u) {
-            jn.backward_ws(&mut scratch.join, &dj);
-            self.opt_join.step(jn, &scratch.join.grads, lr);
+        if has_join {
+            if let Some(jn) = &mut self.join_net {
+                jn.backprop_ws(&mut scratch.join, false);
+                self.opt_join.step(jn, &scratch.join.grads, lr);
+            }
         }
         loss
     }

@@ -10,9 +10,12 @@
 //! All kernels share one accumulation discipline: each output element
 //! receives its `k` terms in strictly ascending order, one `+=` per term,
 //! starting from `0.0`, with no zero-skipping and no FMA contraction. That
-//! makes the cache-blocked kernel, the row-band parallel kernel, and the
-//! fused-transpose kernels **bit-identical** to the naive triple loop (and
-//! to `transpose()` followed by `matmul`), which the property tests assert.
+//! makes the packed register-tile kernel, the row-band parallel kernel, and
+//! the fused-transpose kernels **bit-identical** to the naive triple loop
+//! (and to `transpose()` followed by `matmul`), which the property tests
+//! assert. The three products share one packed driver (`tiled`); the tile
+//! shape is chosen from the output width (`tile_shape`) and changes
+//! only speed, never a bit of the result.
 //!
 //! Large products are split into contiguous bands of output rows and fanned
 //! out over `crossbeam` scoped threads; disjoint output bands make the
@@ -21,11 +24,6 @@
 //! and run the serial blocked kernel.
 
 use crate::matrix::Matrix;
-
-/// Rows of `a` processed per L2 tile (transpose-A kernel).
-const BLOCK_I: usize = 32;
-/// Contraction depth processed per tile (transpose-A kernel).
-const BLOCK_K: usize = 64;
 
 /// Multiply-add count below which threading costs more than it saves.
 pub const PARALLEL_FLOP_CUTOFF: u64 = 4_000_000;
@@ -41,7 +39,7 @@ pub fn auto_threads(m: usize, k: usize, n: usize) -> usize {
     if flops < PARALLEL_FLOP_CUTOFF {
         return 1;
     }
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let hw = crate::parallel::available_threads().unwrap_or(1);
     hw.min(m.div_ceil(MIN_ROWS_PER_BAND)).max(1)
 }
 
@@ -60,7 +58,6 @@ pub fn matmul_into_threaded(out: &mut Matrix, a: &Matrix, b: &Matrix, threads: u
     assert_eq!(a.cols(), b.rows(), "matmul dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     out.ensure_shape(m, n);
-    out.fill_zero();
     run_banded(out.data_mut(), m, n, threads, |row0, band| {
         band_mul(band, a.data(), b.data(), row0, k, n);
     });
@@ -77,7 +74,6 @@ pub fn matmul_transpose_a_into_threaded(out: &mut Matrix, a: &Matrix, b: &Matrix
     assert_eq!(a.rows(), b.rows(), "matmul_transpose_a dimension mismatch");
     let (p, m, n) = (a.rows(), a.cols(), b.cols());
     out.ensure_shape(m, n);
-    out.fill_zero();
     run_banded(out.data_mut(), m, n, threads, |row0, band| {
         band_tmul(band, a.data(), b.data(), row0, p, m, n);
     });
@@ -127,120 +123,158 @@ fn run_banded(
     .expect("gemm worker panicked");
 }
 
-/// Micro-kernel tile height: output rows accumulated in registers at once.
-const MR: usize = 4;
-/// Micro-kernel tile width in f64 lanes (one or two SIMD vectors).
-const NR: usize = 8;
+/// Largest packed block of the right operand, in f64s (256 KiB, so a block
+/// stays in L2 while every row strip of the left operand streams past it).
+const PACK_B_MAX: usize = 32 * 1024;
 
-/// `band = a[row0..][..rows] · b` for the band's rows.
+/// Register-tile height: output rows per strip (tails run one row at a
+/// time).
+const MR: usize = 4;
+
+/// Widest register tile for an output `n` columns wide.
 ///
-/// Structure: `MR×NR` output tiles are accumulated entirely in registers
-/// across the **full** contraction dimension, inside an outer row block that
-/// keeps the active slab of `a` in L2 while a `k×NR` column panel of `b`
-/// streams through L1. Each output element is one accumulator chain fed in
-/// ascending `k` starting from `0.0` — the identical add sequence to the
-/// naive i-k-j loop (which also starts from a zeroed matrix), so the result
-/// is bit-identical; registers only remove the intermediate loads/stores.
-fn band_mul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    mul_panels(
-        band,
-        a,
-        row0,
-        k,
-        n,
-        |panel, j| {
-            for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
-                dst.copy_from_slice(&b[kk * n + j..kk * n + j + NR]);
-            }
-        },
-        |kk, jj| b[kk * n + jj],
-    );
+/// Wide outputs get 4×16 tiles — 64 independent accumulator chains per
+/// contraction step — and narrower ones 4×8. Whatever is left of the width
+/// after the widest tiles is covered by halving tile widths
+/// (16 → 8 → 4 → 2 → 1), so a ragged edge such as `n = 18 = 16 + 2` or a
+/// single output column still runs in a register tile, never in a scalar
+/// per-element loop.
+fn widest_tile(n: usize) -> usize {
+    if n >= 16 {
+        16
+    } else {
+        8
+    }
 }
 
-/// Packed-panel micro-kernel driver shared by [`band_mul`] (plain `a·b`) and
-/// [`band_mul_bt`] (`a·bᵀ`): the two differ only in how a k×[`NR`] column
-/// panel of the right operand is gathered.
+/// Largest power of two `<= max` that fits in `left` (`left >= 1`).
+fn fit_pow2(max: usize, left: usize) -> usize {
+    let mut w = max;
+    while w > left {
+        w /= 2;
+    }
+    w
+}
+
+/// Shared driver of all three products: `band[i][j] = Σ_kk L(i, kk)·R(kk, j)`
+/// over the band's rows, where `L(i, kk) = a[(row0 + i)·rs + kk·ds]` — row
+/// major (`rs = k`, `ds = 1`) or transposed (`rs = 1`, `ds = m`) — and the
+/// callers differ only in how the right operand `R` is gathered.
 ///
-/// Without packing, the kernel's panel walk strides `n` (or `k`) doubles per
-/// k-step — for typical power-of-two widths that is exactly one 4 KiB page,
-/// which defeats the hardware prefetcher and stalls every load. Packing
-/// costs one strided sweep per j-tile and converts the hot loop to purely
-/// sequential reads. It is data movement only: the multiply-add sequence per
-/// output element (ascending `k`, from `0.0`) is untouched, so both callers
-/// stay bit-identical to their materialized-transpose references.
-///
-/// `pack(panel, j)` fills the panel with right-operand columns `j..j+NR`;
-/// `col(kk, jj)` reads one right-operand element for the ragged columns.
-fn mul_panels(
+/// `R` is packed before the hot loop, a block at a time, into depth-major
+/// column tiles (`pack_b(dst, j, w)` fills `dst[kk·w + t] = R(kk, j + t)`),
+/// so the micro-kernels stream it sequentially. Packing is data movement
+/// only: every output element is one accumulator that starts at `0.0` and
+/// receives its `k` products in ascending `kk`, one `+=` each — the add
+/// sequence of the naive i-k-j loop, so every tile shape is bit-identical
+/// to it.
+#[allow(clippy::too_many_arguments)]
+fn tiled(
     band: &mut [f64],
     a: &[f64],
     row0: usize,
+    rs: usize,
+    ds: usize,
     k: usize,
     n: usize,
-    pack: impl Fn(&mut [f64], usize),
-    col: impl Fn(usize, usize) -> f64,
+    pack_b: impl Fn(&mut [f64], usize, usize),
 ) {
     if n == 0 {
         return;
     }
     let rows = band.len() / n;
-    PANEL.with_borrow_mut(|panel| {
-        panel.clear();
-        panel.resize(k * NR, 0.0);
-        let mut j = 0;
-        while j + NR <= n {
-            pack(panel, j);
+    let nr = widest_tile(n);
+    // Column block: a multiple of `nr` whose packed panel fits PACK_B_MAX.
+    let nc = (PACK_B_MAX / k.max(1)).max(nr) / nr * nr;
+    PANEL.with_borrow_mut(|pb| {
+        for j0 in (0..n).step_by(nc) {
+            let j1 = (j0 + nc).min(n);
+            pb.clear();
+            pb.resize(k * (j1 - j0), 0.0);
+            let mut j = j0;
+            while j < j1 {
+                let w = fit_pow2(nr, j1 - j);
+                pack_b(&mut pb[k * (j - j0)..k * (j - j0 + w)], j, w);
+                j += w;
+            }
             let mut i = 0;
-            while i + MR <= rows {
-                let a0 = &a[(row0 + i) * k..(row0 + i) * k + k];
-                let a1 = &a[(row0 + i + 1) * k..(row0 + i + 1) * k + k];
-                let a2 = &a[(row0 + i + 2) * k..(row0 + i + 2) * k + k];
-                let a3 = &a[(row0 + i + 3) * k..(row0 + i + 3) * k + k];
-                let mut c = [[0.0f64; NR]; MR];
-                for (kk, bv) in panel.chunks_exact(NR).enumerate() {
-                    let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                    for (t, &bt) in bv.iter().enumerate() {
-                        c[0][t] += x0 * bt;
-                        c[1][t] += x1 * bt;
-                        c[2][t] += x2 * bt;
-                        c[3][t] += x3 * bt;
-                    }
-                }
-                for (r, crow) in c.iter().enumerate() {
-                    band[(i + r) * n + j..(i + r) * n + j + NR].copy_from_slice(crow);
-                }
-                i += MR;
-            }
-            // Fewer than MR rows left: one register row at a time.
             while i < rows {
-                let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
-                let mut c = [0.0f64; NR];
-                for (kk, bv) in panel.chunks_exact(NR).enumerate() {
-                    let av = arow[kk];
-                    for (t, &bt) in bv.iter().enumerate() {
-                        c[t] += av * bt;
+                let mr = if rows - i >= MR { MR } else { 1 };
+                let left = Strip {
+                    a,
+                    base: (row0 + i) * rs,
+                    rs,
+                    ds,
+                };
+                let mut j = j0;
+                while j < j1 {
+                    let w = fit_pow2(nr, j1 - j);
+                    let panel = &pb[k * (j - j0)..k * (j - j0 + w)];
+                    let out = &mut band[i * n + j..];
+                    match (mr, w) {
+                        (MR, 16) => strip::<16>(&left, panel, out, n),
+                        (MR, 8) => strip::<8>(&left, panel, out, n),
+                        (MR, 4) => strip::<4>(&left, panel, out, n),
+                        (MR, 2) => strip::<2>(&left, panel, out, n),
+                        (MR, _) => strip::<1>(&left, panel, out, n),
+                        (_, 16) => row::<16>(&left, panel, out),
+                        (_, 8) => row::<8>(&left, panel, out),
+                        (_, 4) => row::<4>(&left, panel, out),
+                        (_, 2) => row::<2>(&left, panel, out),
+                        (_, _) => row::<1>(&left, panel, out),
                     }
+                    j += w;
                 }
-                band[i * n + j..i * n + j + NR].copy_from_slice(&c);
-                i += 1;
-            }
-            j += NR;
-        }
-        // Ragged rightmost columns: scalar accumulators per element, still
-        // ascending in k from 0.0.
-        if j < n {
-            for i in 0..rows {
-                let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
-                for jj in j..n {
-                    let mut acc = 0.0;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        acc += av * col(kk, jj);
-                    }
-                    band[i * n + jj] = acc;
-                }
+                i += mr;
             }
         }
     });
+}
+
+/// Rows of the left operand starting at `a[base]`: element `(r, kk)` is
+/// `a[base + r·rs + kk·ds]`.
+struct Strip<'a> {
+    a: &'a [f64],
+    base: usize,
+    rs: usize,
+    ds: usize,
+}
+
+/// One `MR×W` register tile over the full contraction: `b` is a packed
+/// `k×W` panel; the tile lands in `out` rows `ldo` apart. Each of the
+/// `MR·W` accumulators is its own chain, fed in ascending `kk` from `0.0`.
+/// The rows are spelled out so the compiler vectorizes along `W` and keeps
+/// the whole tile in registers.
+#[inline(always)]
+fn strip<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64], ldo: usize) {
+    let mut c = [[0.0f64; W]; MR];
+    let (a, rs) = (l.a, l.rs);
+    for (kk, bv) in b.chunks_exact(W).enumerate() {
+        let p = l.base + kk * l.ds;
+        let (x0, x1, x2, x3) = (a[p], a[p + rs], a[p + 2 * rs], a[p + 3 * rs]);
+        for (t, &bt) in bv.iter().enumerate() {
+            c[0][t] += x0 * bt;
+            c[1][t] += x1 * bt;
+            c[2][t] += x2 * bt;
+            c[3][t] += x3 * bt;
+        }
+    }
+    for (r, crow) in c.iter().enumerate() {
+        out[r * ldo..r * ldo + W].copy_from_slice(crow);
+    }
+}
+
+/// The one-row tile for the rows below the last full strip.
+#[inline(always)]
+fn row<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64]) {
+    let mut c = [0.0f64; W];
+    for (kk, bv) in b.chunks_exact(W).enumerate() {
+        let x = l.a[l.base + kk * l.ds];
+        for (acc, &bt) in c.iter_mut().zip(bv) {
+            *acc += x * bt;
+        }
+    }
+    out[..W].copy_from_slice(&c);
 }
 
 thread_local! {
@@ -249,84 +283,42 @@ thread_local! {
     static PANEL: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Packs columns `j..j+w` of the row-major `k×n` matrix `b` into a
+/// depth-major panel: each depth step is already a contiguous run.
+fn pack_cols(dst: &mut [f64], b: &[f64], j: usize, w: usize, n: usize) {
+    for (kk, d) in dst.chunks_exact_mut(w).enumerate() {
+        d.copy_from_slice(&b[kk * n + j..kk * n + j + w]);
+    }
+}
+
+/// `band = a[row0..][..rows] · b` (`a` is `m×k`, `b` is `k×n`).
+fn band_mul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
+    tiled(band, a, row0, k, 1, k, n, |dst, j, w| {
+        pack_cols(dst, b, j, w, n)
+    });
+}
+
 /// `band = (aᵀ · b)[row0..]` where `a` is `p×m` and `b` is `p×n`; the band
-/// covers output rows `row0..row0+rows` (i.e. columns of `a`).
-///
-/// Loop order r-i-j: for each output element the contraction index `r`
-/// ascends, matching `a.transpose().matmul(b)` bit for bit.
+/// covers output rows `row0..row0+rows` (i.e. columns of `a`), so a strip
+/// of `aᵀ` reads `MR` adjacent values of each row of `a`.
 fn band_tmul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, p: usize, m: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let rows = band.len() / n;
-    for r0 in (0..p).step_by(BLOCK_K) {
-        let r1 = (r0 + BLOCK_K).min(p);
-        for i0 in (0..rows).step_by(BLOCK_I) {
-            let i1 = (i0 + BLOCK_I).min(rows);
-            // Four r-steps per pass over each output row (same unroll
-            // discipline as `band_mul`: the adds stay in ascending r per
-            // element, only the row traffic shrinks).
-            let mut r = r0;
-            while r + 4 <= r1 {
-                let b0 = &b[r * n..r * n + n];
-                let b1 = &b[(r + 1) * n..(r + 1) * n + n];
-                let b2 = &b[(r + 2) * n..(r + 2) * n + n];
-                let b3 = &b[(r + 3) * n..(r + 3) * n + n];
-                for i in i0..i1 {
-                    let a0 = a[r * m + row0 + i];
-                    let a1 = a[(r + 1) * m + row0 + i];
-                    let a2 = a[(r + 2) * m + row0 + i];
-                    let a3 = a[(r + 3) * m + row0 + i];
-                    let orow = &mut band[i * n..i * n + n];
-                    for ((((o, &v0), &v1), &v2), &v3) in
-                        orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                    {
-                        let mut acc = *o;
-                        acc += a0 * v0;
-                        acc += a1 * v1;
-                        acc += a2 * v2;
-                        acc += a3 * v3;
-                        *o = acc;
-                    }
-                }
-                r += 4;
-            }
-            while r < r1 {
-                let brow = &b[r * n..r * n + n];
-                for i in i0..i1 {
-                    let ari = a[r * m + row0 + i];
-                    let orow = &mut band[i * n..i * n + n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += ari * bv;
-                    }
-                }
-                r += 1;
-            }
-        }
-    }
+    tiled(band, a, row0, 1, m, p, n, |dst, j, w| {
+        pack_cols(dst, b, j, w, n)
+    });
 }
 
 /// `band = (a · bᵀ)[row0..]` where `b` is `n×k` row-major: the right
 /// operand's rows are its columns here, so packing transposes `b` into the
-/// panel and the shared micro-kernel does the rest. The per-element add
-/// sequence (ascending `k` from `0.0`) equals `a.matmul(&b.transpose())`.
+/// panel and the shared driver does the rest.
 fn band_mul_bt(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    mul_panels(
-        band,
-        a,
-        row0,
-        k,
-        n,
-        |panel, j| {
-            for t in 0..NR {
-                let brow = &b[(j + t) * k..(j + t) * k + k];
-                for (kk, &v) in brow.iter().enumerate() {
-                    panel[kk * NR + t] = v;
-                }
+    tiled(band, a, row0, k, 1, k, n, |dst, j, w| {
+        for t in 0..w {
+            let brow = &b[(j + t) * k..(j + t) * k + k];
+            for (kk, &v) in brow.iter().enumerate() {
+                dst[kk * w + t] = v;
             }
-        },
-        |kk, jj| b[jj * k + kk],
-    );
+        }
+    });
 }
 
 #[cfg(test)]

@@ -6,6 +6,22 @@
 //! being keyed by index, not from scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The host's available parallelism, or `None` if the platform cannot say.
+///
+/// `std::thread::available_parallelism` re-reads the affinity mask and the
+/// cgroup CPU quota on every call; the answer is read once per process and
+/// cached here, since the kernels and the annotator ask on every product
+/// and every construction.
+pub fn available_threads() -> Option<usize> {
+    static THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .ok()
+            .map(std::num::NonZeroUsize::get)
+    })
+}
 
 /// Runs `task(0..n_tasks)` across at most `threads` scoped workers and
 /// returns the results in task order.

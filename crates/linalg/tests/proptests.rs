@@ -19,6 +19,85 @@ fn symmetric_from(vals: &[f64], n: usize) -> Matrix {
     m
 }
 
+/// Values of a `rows×cols` matrix drawn from `seed` (splitmix64), spread
+/// over several binades with both signs so reordered adds would show.
+fn seeded(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+            (unit - 0.5) * f64::from(1u32 << (z % 7))
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// The naive i-k-j product every GEMM kernel must match bit for bit.
+fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for kk in 0..a.cols() {
+            for j in 0..b.cols() {
+                out.set(i, j, out.get(i, j) + a.get(i, kk) * b.get(kk, j));
+            }
+        }
+    }
+    out
+}
+
+/// Maps a raw draw from `1..=80` onto the shapes that matter: `mode` picks
+/// a uniform draw, a tile edge (a multiple of 4, 8 or 16, give or take
+/// one), the training widths `{1, 8, 18}`, or a fixed trained shape.
+fn biased_dim(mode: usize, raw: usize, fixed: usize) -> usize {
+    const WIDTHS: [usize; 3] = [1, 8, 18];
+    match mode {
+        0 => raw,
+        1 => {
+            let base = [4, 8, 16][raw % 3] * (1 + raw % 5);
+            (base + raw % 3).saturating_sub(1).clamp(1, 80)
+        }
+        2 => WIDTHS[raw % 3],
+        _ => fixed,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gemm_kernels_match_naive_loop_bitwise_on_random_shapes(
+        dims in (1usize..81, 1usize..81, 1usize..81),
+        modes in (0usize..4, 0usize..4, 0usize..4),
+        seed in 0u64..u64::MAX,
+    ) {
+        // Mode 3 pins the dimension to the LM-MLP's 32×18·18×64 forward
+        // and 32×64 batch-by-width shapes.
+        let m = biased_dim(modes.0, dims.0, 32);
+        let k = biased_dim(modes.1, dims.1, [18, 64][dims.1 % 2]);
+        let n = biased_dim(modes.2, dims.2, 64);
+        let a = seeded(m, k, seed);
+        let b = seeded(k, n, seed ^ 0x5555);
+        let want = naive(&a, &b);
+
+        let mut out = Matrix::from_vec(1, 3, vec![f64::NAN; 3]);
+        warper_linalg::gemm::matmul_into(&mut out, &a, &b);
+        prop_assert_eq!(&out, &want, "a·b {}x{}x{}", m, k, n);
+
+        let at = a.transpose();
+        warper_linalg::gemm::matmul_transpose_a_into(&mut out, &at, &b);
+        prop_assert_eq!(&out, &want, "aᵀ·b {}x{}x{}", m, k, n);
+
+        let bt = b.transpose();
+        warper_linalg::gemm::matmul_transpose_b_into(&mut out, &a, &bt);
+        prop_assert_eq!(&out, &want, "a·bᵀ {}x{}x{}", m, k, n);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

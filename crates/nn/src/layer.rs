@@ -162,14 +162,22 @@ impl Linear {
             db: Vec::new(),
         };
         let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(x, dy, &mut g, &mut dx);
+        self.backward_into(x, dy, &mut g, Some(&mut dx));
         (g, dx)
     }
 
-    /// Backward pass writing the parameter gradients into `g` and `∂L/∂x`
-    /// into `dx`, reusing both buffers. `dW = dYᵀ·X` runs through the fused
-    /// kernel with no transpose materialized.
-    pub fn backward_into(&self, x: &Matrix, dy: &Matrix, g: &mut LinearGrads, dx: &mut Matrix) {
+    /// Backward pass writing the parameter gradients into `g` and, when `dx`
+    /// is given, `∂L/∂x` into it, reusing every buffer. `dW = dYᵀ·X` runs
+    /// through the fused kernel with no transpose materialized. Passing
+    /// `None` skips the `dY·W` product entirely — the first layer of a
+    /// network whose input gradient nobody reads.
+    pub fn backward_into(
+        &self,
+        x: &Matrix,
+        dy: &Matrix,
+        g: &mut LinearGrads,
+        dx: Option<&mut Matrix>,
+    ) {
         assert_eq!(dy.cols(), self.out_dim());
         assert_eq!(x.rows(), dy.rows());
         // dW = dYᵀ·X, db = column-sum(dY), dX = dY·W.
@@ -181,7 +189,9 @@ impl Linear {
                 *acc += v;
             }
         }
-        dy.matmul_into(&self.w, dx);
+        if let Some(dx) = dx {
+            dy.matmul_into(&self.w, dx);
+        }
     }
 }
 

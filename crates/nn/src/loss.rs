@@ -11,16 +11,28 @@ use warper_linalg::Matrix;
 ///
 /// Used to train the LM regression models on `log(card + 1)` targets.
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = mse_into(pred, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse`] writing `∂L/∂pred` into `grad`, reusing its buffer.
+pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!((pred.rows(), pred.cols()), (target.rows(), target.cols()));
     let n = (pred.rows() * pred.cols()).max(1) as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    grad.ensure_shape(pred.rows(), pred.cols());
     let mut loss = 0.0;
-    for i in 0..pred.data().len() {
-        let d = pred.data()[i] - target.data()[i];
+    for ((g, &p), &t) in grad
+        .data_mut()
+        .iter_mut()
+        .zip(pred.data())
+        .zip(target.data())
+    {
+        let d = p - t;
         loss += d * d;
-        grad.data_mut()[i] = 2.0 * d / n;
+        *g = 2.0 * d / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Mean absolute (L1) error. Returns `(loss, ∂L/∂pred)`.
@@ -28,26 +40,41 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
 /// The paper's auto-encoder reconstruction loss `L_AE = |q - q̂|` (Eq. 1).
 /// The subgradient at zero is taken as 0.
 pub fn l1(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = l1_into(pred, target, &mut grad);
+    (loss, grad)
+}
+
+/// [`l1`] writing `∂L/∂pred` into `grad`, reusing its buffer.
+pub fn l1_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!((pred.rows(), pred.cols()), (target.rows(), target.cols()));
     let n = (pred.rows() * pred.cols()).max(1) as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    grad.ensure_shape(pred.rows(), pred.cols());
     let mut loss = 0.0;
-    for i in 0..pred.data().len() {
-        let d = pred.data()[i] - target.data()[i];
+    for ((g, &p), &t) in grad
+        .data_mut()
+        .iter_mut()
+        .zip(pred.data())
+        .zip(target.data())
+    {
+        let d = p - t;
         loss += d.abs();
-        grad.data_mut()[i] = d.signum() / n;
-        if d == 0.0 {
-            grad.data_mut()[i] = 0.0;
-        }
+        *g = if d == 0.0 { 0.0 } else { d.signum() / n };
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Row-wise softmax of a logits matrix.
 pub fn softmax(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+    softmax_inplace(&mut out);
+    out
+}
+
+/// Row-wise softmax, in place.
+fn softmax_inplace(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
@@ -58,7 +85,6 @@ pub fn softmax(logits: &Matrix) -> Matrix {
             *v /= sum;
         }
     }
-    out
 }
 
 /// Softmax cross-entropy against integer class labels.
@@ -70,22 +96,29 @@ pub fn softmax(logits: &Matrix) -> Matrix {
 /// # Panics
 /// Panics if `labels.len() != logits.rows()` or any label is out of range.
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] writing `∂L/∂logits` into `grad`, reusing its
+/// buffer (the softmax is computed in place there).
+pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) -> f64 {
     assert_eq!(labels.len(), logits.rows(), "label count mismatch");
-    let probs = softmax(logits);
+    grad.copy_from(logits);
+    softmax_inplace(grad);
     let n = logits.rows().max(1) as f64;
-    let mut grad = probs.clone();
     let mut loss = 0.0;
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < logits.cols(), "label {label} out of range");
-        let p = probs.get(r, label).max(1e-300);
-        loss -= p.ln();
         let g = grad.row_mut(r);
+        loss -= g[label].max(1e-300).ln();
         g[label] -= 1.0;
         for v in g.iter_mut() {
             *v /= n;
         }
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Per-row entropy of a probability matrix (rows must sum to 1).

@@ -63,14 +63,16 @@ pub struct ForwardCache {
     pre: Vec<Matrix>,
 }
 
-/// Reusable scratch for [`Mlp::forward_ws`]/[`Mlp::backward_ws`].
+/// Reusable scratch for [`Mlp::forward_ws`]/[`Mlp::backprop_ws`].
 ///
 /// Holds every intermediate a forward/backward pass needs — per-layer
-/// activations, pre-activations, the upstream-gradient ping-pong pair, and
-/// the parameter gradients — so a training loop that keeps one workspace
-/// alive performs no matrix allocations after the first step. One workspace
-/// serves one network; the buffers resize on first use and whenever the
-/// batch size grows.
+/// activations, pre-activations, the gradient ping-pong pair, and the
+/// parameter gradients — so a training loop that keeps one workspace alive
+/// performs no matrix allocations after the first step. The loss methods
+/// ([`Self::mse`], [`Self::l1`], [`Self::softmax_cross_entropy`]) write
+/// `∂L/∂output` straight into the workspace, where the backward pass picks
+/// it up. One workspace serves one network; the buffers resize on first use
+/// and whenever the batch size grows.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// `acts[0]` is the network input; `acts[i + 1]` the output of layer `i`
@@ -78,13 +80,28 @@ pub struct Workspace {
     acts: Vec<Matrix>,
     /// Pre-activation output of each linear layer.
     pre: Vec<Matrix>,
-    /// Upstream gradient flowing into the current layer (after the final
-    /// `backward_ws` step: `∂L/∂input`).
+    /// Gradient flowing into the current layer: `∂L/∂output` before a
+    /// backward pass, `∂L/∂input` after one that computed it.
     dy: Matrix,
     /// `∂L/∂x` of the layer being processed; swapped with `dy` per layer.
     dx: Matrix,
-    /// Parameter gradients produced by the latest [`Mlp::backward_ws`].
+    /// What `dy` currently holds.
+    dy_holds: GradSlot,
+    /// Parameter gradients produced by the latest backward pass.
     pub grads: MlpGrads,
+}
+
+/// The meaning of [`Workspace`]'s gradient buffer at a point in time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum GradSlot {
+    /// Nothing usable (a backward pass consumed it without computing
+    /// `∂L/∂input`).
+    #[default]
+    Empty,
+    /// `∂L/∂output`, ready for a backward pass.
+    OutputGrad,
+    /// `∂L/∂input` from the latest backward pass.
+    InputGrad,
 }
 
 impl Workspace {
@@ -98,14 +115,56 @@ impl Workspace {
     /// # Panics
     /// Panics if no forward pass has run yet.
     pub fn output(&self) -> &Matrix {
-        self.acts
-            .last()
-            .expect("no forward_ws has run on this workspace")
+        Self::last(&self.acts)
     }
 
-    /// `∂L/∂input` from the latest [`Mlp::backward_ws`].
+    /// `∂L/∂input` from the latest backward pass.
+    ///
+    /// # Panics
+    /// Panics unless that pass computed it ([`Mlp::backward_ws`], or
+    /// [`Mlp::backprop_ws`] with `input_grad`).
     pub fn input_grad(&self) -> &Matrix {
+        assert_eq!(
+            self.dy_holds,
+            GradSlot::InputGrad,
+            "the latest backward pass did not compute ∂L/∂input"
+        );
         &self.dy
+    }
+
+    /// The `∂L/∂output` buffer the next [`Mlp::backprop_ws`] starts from,
+    /// for losses computed outside the workspace. The caller must leave it
+    /// shaped like [`Self::output`].
+    pub fn output_grad_mut(&mut self) -> &mut Matrix {
+        self.dy_holds = GradSlot::OutputGrad;
+        &mut self.dy
+    }
+
+    /// Mean squared error of [`Self::output`] against `target`
+    /// ([`crate::loss::mse`]); `∂L/∂output` stays in the workspace.
+    pub fn mse(&mut self, target: &Matrix) -> f64 {
+        self.dy_holds = GradSlot::OutputGrad;
+        crate::loss::mse_into(Self::last(&self.acts), target, &mut self.dy)
+    }
+
+    /// Mean absolute error of [`Self::output`] against `target`
+    /// ([`crate::loss::l1`]); `∂L/∂output` stays in the workspace.
+    pub fn l1(&mut self, target: &Matrix) -> f64 {
+        self.dy_holds = GradSlot::OutputGrad;
+        crate::loss::l1_into(Self::last(&self.acts), target, &mut self.dy)
+    }
+
+    /// Softmax cross-entropy of [`Self::output`] (logits) against `labels`
+    /// ([`crate::loss::softmax_cross_entropy`]); `∂L/∂output` stays in the
+    /// workspace.
+    pub fn softmax_cross_entropy(&mut self, labels: &[usize]) -> f64 {
+        self.dy_holds = GradSlot::OutputGrad;
+        crate::loss::softmax_cross_entropy_into(Self::last(&self.acts), labels, &mut self.dy)
+    }
+
+    fn last(acts: &[Matrix]) -> &Matrix {
+        acts.last()
+            .expect("no forward_ws has run on this workspace")
     }
 }
 
@@ -252,11 +311,32 @@ impl Mlp {
     }
 
     /// Backward pass over the activations left in `ws` by a preceding
-    /// [`Self::forward_ws`] call. Parameter gradients land in `ws.grads`;
-    /// `∂L/∂input` is available from [`Workspace::input_grad`] afterwards.
+    /// [`Self::forward_ws`] call, from the upstream gradient `dout`.
+    /// Parameter gradients land in `ws.grads`; `∂L/∂input` is available from
+    /// [`Workspace::input_grad`] afterwards.
     pub fn backward_ws(&self, ws: &mut Workspace, dout: &Matrix) {
+        ws.output_grad_mut().copy_from(dout);
+        self.backprop_ws(ws, true);
+    }
+
+    /// Backward pass from the `∂L/∂output` already in `ws` (written there by
+    /// one of its loss methods or through [`Workspace::output_grad_mut`]),
+    /// over the activations of the preceding [`Self::forward_ws`].
+    /// Parameter gradients land in `ws.grads`. `∂L/∂input` — the first
+    /// layer's `dY·W` product — is computed only when `input_grad` is set;
+    /// a network at the head of a chain, whose input gradient nobody reads,
+    /// skips it.
+    ///
+    /// # Panics
+    /// Panics without a prior forward pass or without `∂L/∂output` in `ws`.
+    pub fn backprop_ws(&self, ws: &mut Workspace, input_grad: bool) {
         let n = self.layers.len();
-        assert_eq!(ws.pre.len(), n, "backward_ws requires a prior forward_ws");
+        assert_eq!(ws.pre.len(), n, "backprop_ws requires a prior forward_ws");
+        assert_eq!(
+            ws.dy_holds,
+            GradSlot::OutputGrad,
+            "backprop_ws requires ∂L/∂output in the workspace"
+        );
         if ws.grads.layers.len() != n {
             ws.grads.layers = self
                 .layers
@@ -267,12 +347,20 @@ impl Mlp {
                 })
                 .collect();
         }
-        ws.dy.copy_from(dout);
         for i in (0..n).rev() {
             self.act_for(i).backward_inplace(&ws.pre[i], &mut ws.dy);
-            self.layers[i].backward_into(&ws.acts[i], &ws.dy, &mut ws.grads.layers[i], &mut ws.dx);
-            std::mem::swap(&mut ws.dy, &mut ws.dx);
+            let dx = (i > 0 || input_grad).then_some(&mut ws.dx);
+            let has_dx = dx.is_some();
+            self.layers[i].backward_into(&ws.acts[i], &ws.dy, &mut ws.grads.layers[i], dx);
+            if has_dx {
+                std::mem::swap(&mut ws.dy, &mut ws.dx);
+            }
         }
+        ws.dy_holds = if input_grad {
+            GradSlot::InputGrad
+        } else {
+            GradSlot::Empty
+        };
     }
 
     /// One epoch of mini-batch MSE training: examples are visited in `order`
@@ -280,9 +368,9 @@ impl Mlp {
     /// in `batch`-sized chunks. Returns the last batch's loss, matching what
     /// the per-module trainers report.
     ///
-    /// All per-step matrices come from `ws` and two batch-staging buffers
-    /// reused across chunks, so steady-state epochs allocate only the loss
-    /// gradient.
+    /// All per-step matrices — the loss gradient included — come from `ws`
+    /// and two batch-staging buffers reused across chunks, so steady-state
+    /// epochs allocate nothing. The input gradient is never computed.
     #[allow(clippy::too_many_arguments)]
     pub fn train_epoch<O: crate::optim::Optimizer>(
         &mut self,
@@ -301,11 +389,9 @@ impl Mlp {
         for chunk in order.chunks(batch.max(1)) {
             bx.gather_rows(x, chunk);
             by.gather_rows(y, chunk);
-            let (loss, dout) = {
-                let out = self.forward_ws(&bx, ws);
-                crate::loss::mse(out, &by)
-            };
-            self.backward_ws(ws, &dout);
+            self.forward_ws(&bx, ws);
+            let loss = ws.mse(&by);
+            self.backprop_ws(ws, false);
             opt.step(self, &ws.grads, lr);
             last_loss = loss;
         }
@@ -457,6 +543,72 @@ mod tests {
                 assert_eq!(a.db, b.db);
             }
         }
+    }
+
+    #[test]
+    fn workspace_losses_and_skipped_input_grad_match_allocating_path() {
+        let mlp = Mlp::new(
+            &[4, 18, 8, 3],
+            Activation::LeakyRelu(0.01),
+            Activation::Identity,
+            &mut rng(13),
+        );
+        let x = Matrix::from_rows(&[
+            vec![0.1, -0.2, 0.3, 0.9],
+            vec![0.5, 0.4, -0.6, 0.0],
+            vec![-0.7, 0.2, 0.8, -0.1],
+        ]);
+        let t = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.5],
+            vec![0.0, 1.0, -0.5],
+            vec![0.2, 0.3, 0.4],
+        ]);
+        let labels = [2usize, 0, 1];
+        let (out, cache) = mlp.forward_cached(&x);
+        type Loss<'a> = (
+            &'a dyn Fn(&Matrix) -> (f64, Matrix),
+            &'a dyn Fn(&mut Workspace) -> f64,
+        );
+        let losses: [Loss; 3] = [
+            (&|o| mse(o, &t), &|ws| ws.mse(&t)),
+            (&|o| crate::loss::l1(o, &t), &|ws| ws.l1(&t)),
+            (&|o| softmax_cross_entropy(o, &labels), &|ws| {
+                ws.softmax_cross_entropy(&labels)
+            }),
+        ];
+        let mut ws = Workspace::new();
+        for (alloc, in_ws) in losses {
+            let (loss, dout) = alloc(&out);
+            let (grads, dx) = mlp.backward_with_input_grad(&cache, &dout);
+            for input_grad in [false, true] {
+                mlp.forward_ws(&x, &mut ws);
+                assert_eq!(in_ws(&mut ws).to_bits(), loss.to_bits());
+                mlp.backprop_ws(&mut ws, input_grad);
+                for (a, b) in grads.layers.iter().zip(&ws.grads.layers) {
+                    assert_eq!(a.dw, b.dw);
+                    assert_eq!(a.db, b.db);
+                }
+                if input_grad {
+                    assert_eq!(ws.input_grad(), &dx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "did not compute")]
+    fn input_grad_refuses_a_skipped_gradient() {
+        let mlp = Mlp::new(
+            &[2, 3, 1],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng(4),
+        );
+        let mut ws = Workspace::new();
+        mlp.forward_ws(&Matrix::from_rows(&[vec![1.0, 2.0]]), &mut ws);
+        ws.mse(&Matrix::from_rows(&[vec![0.5]]));
+        mlp.backprop_ws(&mut ws, false);
+        let _ = ws.input_grad();
     }
 
     #[test]

@@ -157,6 +157,38 @@ impl Default for Adam {
     }
 }
 
+/// The constants of one Adam step.
+struct AdamStep {
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    lr: f64,
+    /// Bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ`.
+    bc1: f64,
+    bc2: f64,
+}
+
+impl AdamStep {
+    /// Updates parameters `w` and their moments `m`, `v` from gradient `g`.
+    ///
+    /// The loop runs over zipped slices, with no index and no bounds check,
+    /// so it vectorizes. Each element still gets exactly the scalar
+    /// operation sequence — `m̂ = m / bc1` and `v̂ = v / bc2` are true
+    /// divisions, not multiplies by a reciprocal, and no `mul_add` — so the
+    /// update is bit-identical at any SIMD width (DESIGN §3.7).
+    fn apply(&self, w: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]) {
+        assert_eq!(g.len(), w.len(), "gradient/parameter length mismatch");
+        let (one_m_b1, one_m_b2) = (1.0 - self.beta1, 1.0 - self.beta2);
+        for (((w, m), v), &g) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+            *m = self.beta1 * *m + one_m_b1 * g;
+            *v = self.beta2 * *v + one_m_b2 * g * g;
+            let mhat = *m / self.bc1;
+            let vhat = *v / self.bc2;
+            *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        }
+    }
+}
+
 impl Optimizer for Adam {
     fn step(&mut self, model: &mut Mlp, grads: &MlpGrads, lr: f64) {
         let moments = self.moments.get_or_insert_with(|| {
@@ -173,35 +205,27 @@ impl Optimizer for Adam {
         });
         self.t += 1;
         let t = self.t as f64;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-
+        let c = AdamStep {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            lr,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        };
         for ((layer, g), st) in model
             .layers_mut()
             .iter_mut()
             .zip(&grads.layers)
             .zip(moments.iter_mut())
         {
-            // Weights.
-            for i in 0..layer.w.data().len() {
-                let grad = g.dw.data()[i];
-                let m = &mut st.mw.data_mut()[i];
-                *m = self.beta1 * *m + (1.0 - self.beta1) * grad;
-                let v = &mut st.vw.data_mut()[i];
-                *v = self.beta2 * *v + (1.0 - self.beta2) * grad * grad;
-                let mhat = st.mw.data()[i] / bc1;
-                let vhat = st.vw.data()[i] / bc2;
-                layer.w.data_mut()[i] -= lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            // Biases.
-            for i in 0..layer.b.len() {
-                let grad = g.db[i];
-                st.mb[i] = self.beta1 * st.mb[i] + (1.0 - self.beta1) * grad;
-                st.vb[i] = self.beta2 * st.vb[i] + (1.0 - self.beta2) * grad * grad;
-                let mhat = st.mb[i] / bc1;
-                let vhat = st.vb[i] / bc2;
-                layer.b[i] -= lr * mhat / (vhat.sqrt() + self.eps);
-            }
+            c.apply(
+                layer.w.data_mut(),
+                st.mw.data_mut(),
+                st.vw.data_mut(),
+                g.dw.data(),
+            );
+            c.apply(&mut layer.b, &mut st.mb, &mut st.vb, &g.db);
         }
     }
 

@@ -96,3 +96,85 @@ proptest! {
         }
     }
 }
+
+/// Scalar, index-based Adam (β₁ 0.9, β₂ 0.999, ε 1e-8) over one parameter
+/// slice: the per-element operation order `Adam::step` must reproduce.
+fn reference_adam(w: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64], lr: f64, t: u64) {
+    let bc1 = 1.0 - 0.9f64.powf(t as f64);
+    let bc2 = 1.0 - 0.999f64.powf(t as f64);
+    for i in 0..w.len() {
+        m[i] = 0.9 * m[i] + (1.0 - 0.9) * g[i];
+        v[i] = 0.999 * v[i] + (1.0 - 0.999) * g[i] * g[i];
+        let mhat = m[i] / bc1;
+        let vhat = v[i] / bc2;
+        w[i] -= lr * mhat / (vhat.sqrt() + 1e-8);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `train_epoch` (workspace losses, skipped input gradient, vectorized
+    /// Adam) trains the same bits as the allocating forward/backward path
+    /// stepped by a scalar Adam loop.
+    #[test]
+    fn train_epoch_with_adam_matches_scalar_reference(
+        seed in 0u64..10_000,
+        widths in (1usize..24, 1usize..40, 1usize..20),
+        batch in 1usize..40,
+        examples in 1usize..70,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = [widths.0, widths.1, widths.2, 1];
+        let mut net = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
+        let mut reference = net.clone();
+        let x = Matrix::from_vec(
+            examples,
+            widths.0,
+            (0..examples * widths.0).map(|i| ((i as f64) * 0.37 + seed as f64).sin()).collect(),
+        );
+        let y = Matrix::from_vec(
+            examples,
+            1,
+            (0..examples).map(|i| ((i as f64) * 1.3).cos() * 3.0).collect(),
+        );
+        let order: Vec<usize> = (0..examples).rev().collect();
+
+        let mut opt = warper_nn::Adam::new();
+        let mut ws = warper_nn::Workspace::new();
+        let mut moments: Vec<[Vec<f64>; 4]> = reference
+            .layers()
+            .iter()
+            .map(|l| {
+                let (nw, nb) = (l.w.data().len(), l.b.len());
+                [vec![0.0; nw], vec![0.0; nw], vec![0.0; nb], vec![0.0; nb]]
+            })
+            .collect();
+        let mut t = 0;
+        for epoch in 0..3 {
+            let lr = 1e-2 / (1 + epoch) as f64;
+            net.train_epoch(&x, &y, &order, batch, &mut opt, lr, &mut ws);
+            for chunk in order.chunks(batch) {
+                let bx = Matrix::from_rows(&chunk.iter().map(|&i| x.row(i).to_vec()).collect::<Vec<_>>());
+                let by = Matrix::from_rows(&chunk.iter().map(|&i| y.row(i).to_vec()).collect::<Vec<_>>());
+                let (out, cache) = reference.forward_cached(&bx);
+                let (_, dout) = warper_nn::loss::mse(&out, &by);
+                let grads = reference.backward(&cache, &dout);
+                t += 1;
+                for ((layer, g), [mw, vw, mb, vb]) in reference
+                    .layers_mut()
+                    .iter_mut()
+                    .zip(&grads.layers)
+                    .zip(moments.iter_mut())
+                {
+                    reference_adam(layer.w.data_mut(), mw, vw, g.dw.data(), lr, t);
+                    reference_adam(&mut layer.b, mb, vb, &g.db, lr, t);
+                }
+            }
+        }
+        for (a, b) in net.layers().iter().zip(reference.layers()) {
+            prop_assert_eq!(&a.w, &b.w);
+            prop_assert_eq!(&a.b, &b.b);
+        }
+    }
+}

@@ -31,7 +31,7 @@ impl Default for Annotator {
 impl Annotator {
     /// An annotator using all available parallelism.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let threads = warper_linalg::parallel::available_threads().unwrap_or(4);
         Self { threads }
     }
 

@@ -16,7 +16,7 @@ use rand::Rng;
 use warper_linalg::sampling::standard_normal;
 use warper_linalg::Matrix;
 use warper_nn::guard::{check_grads, DivergenceError, LossTracker};
-use warper_nn::loss::{l1, softmax, softmax_cross_entropy};
+use warper_nn::loss::softmax;
 use warper_nn::{Activation, Adam, Mlp, Optimizer, Workspace};
 
 use crate::config::WarperConfig;
@@ -231,14 +231,13 @@ impl Gan {
                 x.gather_rows(&all_x, chunk);
                 t.gather_rows(&all_t, chunk);
 
-                let (loss, dqhat) = {
-                    let z = encoder.net().forward_ws(&x, &mut ws_e);
-                    let qhat = self.generator.forward_ws(z, &mut ws_g);
-                    l1(qhat, &t)
-                };
+                let z = encoder.net().forward_ws(&x, &mut ws_e);
+                self.generator.forward_ws(z, &mut ws_g);
+                let loss = ws_g.l1(&t);
                 tracker.observe(stats.iterations, loss)?;
-                self.generator.backward_ws(&mut ws_g, &dqhat);
-                encoder.net().backward_ws(&mut ws_e, ws_g.input_grad());
+                self.generator.backprop_ws(&mut ws_g, true);
+                ws_e.output_grad_mut().copy_from(ws_g.input_grad());
+                encoder.net().backprop_ws(&mut ws_e, false);
                 check_grads("auto-encoder", stats.iterations, &ws_g.grads)?;
                 check_grads("auto-encoder", stats.iterations, &ws_e.grads)?;
                 self.opt_g.step(&mut self.generator, &ws_g.grads, cfg.lr);
@@ -320,14 +319,13 @@ impl Gan {
             {
                 let x_real = Matrix::from_rows(&inputs[..real_feats.len()]);
                 let t_real = Matrix::from_rows(&real_feats);
-                let (ae_loss, dqhat) = {
-                    let z_r = encoder.net().forward_ws(&x_real, &mut ws_e);
-                    let qhat = self.generator.forward_ws(z_r, &mut ws_g);
-                    l1(qhat, &t_real)
-                };
+                let z_r = encoder.net().forward_ws(&x_real, &mut ws_e);
+                self.generator.forward_ws(z_r, &mut ws_g);
+                let ae_loss = ws_g.l1(&t_real);
                 ae_tracker.observe(iter, ae_loss)?;
-                self.generator.backward_ws(&mut ws_g, &dqhat);
-                encoder.net().backward_ws(&mut ws_e, ws_g.input_grad());
+                self.generator.backprop_ws(&mut ws_g, true);
+                ws_e.output_grad_mut().copy_from(ws_g.input_grad());
+                encoder.net().backprop_ws(&mut ws_e, false);
                 check_grads("gan/auto-encoder", iter, &ws_g.grads)?;
                 check_grads("gan/auto-encoder", iter, &ws_e.grads)?;
                 self.opt_g.step(&mut self.generator, &ws_g.grads, cfg.lr);
@@ -349,12 +347,10 @@ impl Gan {
             {
                 let z = encoder.net().forward_ws(&x, &mut ws_e);
                 for _ in 0..2 {
-                    let (loss, dlogits) = {
-                        let logits = self.discriminator.forward_ws(z, &mut ws_d);
-                        softmax_cross_entropy(logits, &labels)
-                    };
+                    self.discriminator.forward_ws(z, &mut ws_d);
+                    let loss = ws_d.softmax_cross_entropy(&labels);
                     d_tracker.observe(iter, loss)?;
-                    self.discriminator.backward_ws(&mut ws_d, &dlogits);
+                    self.discriminator.backprop_ws(&mut ws_d, false);
                     check_grads("gan/discriminator", iter, &ws_d.grads)?;
                     self.opt_d
                         .step(&mut self.discriminator, &ws_d.grads, 5.0 * cfg.lr);
@@ -383,30 +379,29 @@ impl Gan {
                 }
                 (qgen.rows(), qgen.cols(), e_in)
             };
-            let (g_loss, mut dlogits2) = {
-                let z2 = encoder.net().forward_ws(&e_in, &mut ws_e);
-                let logits2 = self.discriminator.forward_ws(z2, &mut ws_d);
-                let want_new = vec![Source::New.class_index(); logits2.rows()];
-                softmax_cross_entropy(logits2, &want_new)
-            };
+            let z2 = encoder.net().forward_ws(&e_in, &mut ws_e);
+            self.discriminator.forward_ws(z2, &mut ws_d);
+            let g_loss = ws_d.softmax_cross_entropy(&vec![Source::New.class_index(); grows]);
             // The adversarial gradient is down-weighted relative to the
             // reconstruction task so it steers G without erasing its decoder
             // behaviour (a collapsed G defeats the purpose of generation).
             g_tracker.observe(iter, g_loss)?;
-            dlogits2.scale_inplace(ADV_WEIGHT);
+            ws_d.output_grad_mut().scale_inplace(ADV_WEIGHT);
             // Freeze D and E: run their backward passes only for the input
             // gradients; the parameter gradients in their workspaces are
             // simply never stepped.
-            self.discriminator.backward_ws(&mut ws_d, &dlogits2);
-            encoder.net().backward_ws(&mut ws_e, ws_d.input_grad());
+            self.discriminator.backprop_ws(&mut ws_d, true);
+            ws_e.output_grad_mut().copy_from(ws_d.input_grad());
+            encoder.net().backprop_ws(&mut ws_e, true);
             // Drop the two label columns to get ∂L/∂q_gen.
-            let mut dqgen = Matrix::zeros(grows, gcols);
+            let dqgen = ws_g.output_grad_mut();
+            dqgen.ensure_shape(grows, gcols);
             for r in 0..grows {
                 dqgen
                     .row_mut(r)
                     .copy_from_slice(&ws_e.input_grad().row(r)[..gcols]);
             }
-            self.generator.backward_ws(&mut ws_g, &dqgen);
+            self.generator.backprop_ws(&mut ws_g, false);
             check_grads("gan/generator", iter, &ws_g.grads)?;
             self.opt_g.step(&mut self.generator, &ws_g.grads, cfg.lr);
 
