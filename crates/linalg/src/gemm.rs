@@ -133,8 +133,8 @@ const MR: usize = 4;
 
 /// Widest register tile for an output `n` columns wide.
 ///
-/// Wide outputs get 4×16 tiles — 64 independent accumulator chains per
-/// contraction step — and narrower ones 4×8. Whatever is left of the width
+/// Wide outputs get 4×16 tiles — 64 accumulators, 16 independent vector
+/// chains at four f64 lanes — and narrower ones 4×8. Whatever is left of the width
 /// after the widest tiles is covered by halving tile widths
 /// (16 → 8 → 4 → 2 → 1), so a ragged edge such as `n = 18 = 16 + 2` or a
 /// single output column still runs in a register tile, never in a scalar
@@ -157,9 +157,9 @@ fn fit_pow2(max: usize, left: usize) -> usize {
 }
 
 /// Shared driver of all three products: `band[i][j] = Σ_kk L(i, kk)·R(kk, j)`
-/// over the band's rows, where `L(i, kk) = a[(row0 + i)·rs + kk·ds]` — row
-/// major (`rs = k`, `ds = 1`) or transposed (`rs = 1`, `ds = m`) — and the
-/// callers differ only in how the right operand `R` is gathered.
+/// over the band's rows, where `L` is the left operand's strip starting at
+/// the band's first row (see [`Strip`]) and the callers differ only in how
+/// the right operand `R` is gathered.
 ///
 /// `R` is packed before the hot loop, a block at a time, into depth-major
 /// column tiles (`pack_b(dst, j, w)` fills `dst[kk·w + t] = R(kk, j + t)`),
@@ -168,13 +168,9 @@ fn fit_pow2(max: usize, left: usize) -> usize {
 /// receives its `k` products in ascending `kk`, one `+=` each — the add
 /// sequence of the naive i-k-j loop, so every tile shape is bit-identical
 /// to it.
-#[allow(clippy::too_many_arguments)]
 fn tiled(
     band: &mut [f64],
-    a: &[f64],
-    row0: usize,
-    rs: usize,
-    ds: usize,
+    left: Strip,
     k: usize,
     n: usize,
     pack_b: impl Fn(&mut [f64], usize, usize),
@@ -201,10 +197,8 @@ fn tiled(
             while i < rows {
                 let mr = if rows - i >= MR { MR } else { 1 };
                 let left = Strip {
-                    a,
-                    base: (row0 + i) * rs,
-                    rs,
-                    ds,
+                    base: left.base + i * left.rs,
+                    ..left
                 };
                 let mut j = j0;
                 while j < j1 {
@@ -232,12 +226,26 @@ fn tiled(
 }
 
 /// Rows of the left operand starting at `a[base]`: element `(r, kk)` is
-/// `a[base + r·rs + kk·ds]`.
+/// `a[base + r·rs + kk·ds]` — row major (`rs = k`, `ds = 1`) or transposed
+/// (`rs = 1`, `ds = m`).
+#[derive(Clone, Copy)]
 struct Strip<'a> {
     a: &'a [f64],
     base: usize,
     rs: usize,
     ds: usize,
+}
+
+impl<'a> Strip<'a> {
+    /// Row-major `?×k` rows from `row0` on.
+    fn rows(a: &'a [f64], row0: usize, k: usize) -> Self {
+        Self {
+            a,
+            base: row0 * k,
+            rs: k,
+            ds: 1,
+        }
+    }
 }
 
 /// One `MR×W` register tile over the full contraction: `b` is a packed
@@ -293,7 +301,7 @@ fn pack_cols(dst: &mut [f64], b: &[f64], j: usize, w: usize, n: usize) {
 
 /// `band = a[row0..][..rows] · b` (`a` is `m×k`, `b` is `k×n`).
 fn band_mul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    tiled(band, a, row0, k, 1, k, n, |dst, j, w| {
+    tiled(band, Strip::rows(a, row0, k), k, n, |dst, j, w| {
         pack_cols(dst, b, j, w, n)
     });
 }
@@ -302,16 +310,20 @@ fn band_mul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: us
 /// covers output rows `row0..row0+rows` (i.e. columns of `a`), so a strip
 /// of `aᵀ` reads `MR` adjacent values of each row of `a`.
 fn band_tmul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, p: usize, m: usize, n: usize) {
-    tiled(band, a, row0, 1, m, p, n, |dst, j, w| {
-        pack_cols(dst, b, j, w, n)
-    });
+    let left = Strip {
+        a,
+        base: row0,
+        rs: 1,
+        ds: m,
+    };
+    tiled(band, left, p, n, |dst, j, w| pack_cols(dst, b, j, w, n));
 }
 
 /// `band = (a · bᵀ)[row0..]` where `b` is `n×k` row-major: the right
 /// operand's rows are its columns here, so packing transposes `b` into the
 /// panel and the shared driver does the rest.
 fn band_mul_bt(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    tiled(band, a, row0, k, 1, k, n, |dst, j, w| {
+    tiled(band, Strip::rows(a, row0, k), k, n, |dst, j, w| {
         for t in 0..w {
             let brow = &b[(j + t) * k..(j + t) * k + k];
             for (kk, &v) in brow.iter().enumerate() {
