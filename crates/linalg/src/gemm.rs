@@ -123,24 +123,26 @@ fn run_banded(
     .expect("gemm worker panicked");
 }
 
-/// Largest packed block of the right operand, in f64s (256 KiB, so a block
-/// stays in L2 while every row strip of the left operand streams past it).
-const PACK_B_MAX: usize = 32 * 1024;
-
 /// Register-tile height: output rows per strip (tails run one row at a
 /// time).
 const MR: usize = 4;
 
-/// Widest register tile for an output `n` columns wide.
+/// Largest packed column panel, in f64s, that stays in L1 (32 KiB).
+const PANEL_L1: usize = 4 * 1024;
+
+/// Widest register tile for an output `n` columns wide with contraction
+/// depth `k`.
 ///
 /// Wide outputs get 4×16 tiles — 64 accumulators, 16 independent vector
-/// chains at four f64 lanes — and narrower ones 4×8. Whatever is left of the width
-/// after the widest tiles is covered by halving tile widths
+/// chains at four f64 lanes — and narrower ones 4×8. Whatever is left of the
+/// width after the widest tiles is covered by halving tile widths
 /// (16 → 8 → 4 → 2 → 1), so a ragged edge such as `n = 18 = 16 + 2` or a
 /// single output column still runs in a register tile, never in a scalar
-/// per-element loop.
-fn widest_tile(n: usize) -> usize {
-    if n >= 16 {
+/// per-element loop. A 16-wide panel is used only while it fits
+/// [`PANEL_L1`]; deeper contractions keep 8-wide panels, which stay in L1
+/// while every row strip streams past them.
+fn widest_tile(n: usize, k: usize) -> usize {
+    if n >= 16 && 16 * k <= PANEL_L1 {
         16
     } else {
         8
@@ -156,21 +158,23 @@ fn fit_pow2(max: usize, left: usize) -> usize {
     w
 }
 
-/// Shared driver of all three products: `band[i][j] = Σ_kk L(i, kk)·R(kk, j)`
-/// over the band's rows, where `L` is the left operand's strip starting at
-/// the band's first row (see [`Strip`]) and the callers differ only in how
-/// the right operand `R` is gathered.
+/// Shared driver of all three products: `band = a · R` over the band's
+/// rows, where `a` holds the band's rows of the left operand (row major,
+/// `rows×k`) and the callers differ only in how the right operand `R` is
+/// gathered.
 ///
-/// `R` is packed before the hot loop, a block at a time, into depth-major
-/// column tiles (`pack_b(dst, j, w)` fills `dst[kk·w + t] = R(kk, j + t)`),
-/// so the micro-kernels stream it sequentially. Packing is data movement
-/// only: every output element is one accumulator that starts at `0.0` and
-/// receives its `k` products in ascending `kk`, one `+=` each — the add
-/// sequence of the naive i-k-j loop, so every tile shape is bit-identical
-/// to it.
+/// Column tile by column tile, `pack_b(panel, j, w)` packs `R`'s columns
+/// `j..j+w` depth-major (`panel[kk·w + t] = R(kk, j + t)`), and every row
+/// strip of `a` then streams past that L1-resident panel. Without packing,
+/// the panel walk strides one matrix row per `k` step — for power-of-two
+/// widths exactly one 4 KiB page, which defeats the hardware prefetcher.
+/// Packing is data movement only: every output element is one accumulator
+/// that starts at `0.0` and receives its `k` products in ascending `kk`,
+/// one `+=` each — the add sequence of the naive i-k-j loop, so every tile
+/// shape is bit-identical to it.
 fn tiled(
     band: &mut [f64],
-    left: Strip,
+    a: &[f64],
     k: usize,
     n: usize,
     pack_b: impl Fn(&mut [f64], usize, usize),
@@ -179,87 +183,53 @@ fn tiled(
         return;
     }
     let rows = band.len() / n;
-    let nr = widest_tile(n);
-    // Column block: a multiple of `nr` whose packed panel fits PACK_B_MAX.
-    let nc = (PACK_B_MAX / k.max(1)).max(nr) / nr * nr;
-    PANEL.with_borrow_mut(|pb| {
-        for j0 in (0..n).step_by(nc) {
-            let j1 = (j0 + nc).min(n);
-            pb.clear();
-            pb.resize(k * (j1 - j0), 0.0);
-            let mut j = j0;
-            while j < j1 {
-                let w = fit_pow2(nr, j1 - j);
-                pack_b(&mut pb[k * (j - j0)..k * (j - j0 + w)], j, w);
-                j += w;
-            }
+    let nr = widest_tile(n, k);
+    PANEL.with_borrow_mut(|panel| {
+        let mut j = 0;
+        while j < n {
+            let w = fit_pow2(nr, n - j);
+            panel.clear();
+            panel.resize(k * w, 0.0);
+            pack_b(panel, j, w);
             let mut i = 0;
             while i < rows {
                 let mr = if rows - i >= MR { MR } else { 1 };
-                let left = Strip {
-                    base: left.base + i * left.rs,
-                    ..left
-                };
-                let mut j = j0;
-                while j < j1 {
-                    let w = fit_pow2(nr, j1 - j);
-                    let panel = &pb[k * (j - j0)..k * (j - j0 + w)];
-                    let out = &mut band[i * n + j..];
-                    match (mr, w) {
-                        (MR, 16) => strip::<16>(&left, panel, out, n),
-                        (MR, 8) => strip::<8>(&left, panel, out, n),
-                        (MR, 4) => strip::<4>(&left, panel, out, n),
-                        (MR, 2) => strip::<2>(&left, panel, out, n),
-                        (MR, _) => strip::<1>(&left, panel, out, n),
-                        (_, 16) => row::<16>(&left, panel, out),
-                        (_, 8) => row::<8>(&left, panel, out),
-                        (_, 4) => row::<4>(&left, panel, out),
-                        (_, 2) => row::<2>(&left, panel, out),
-                        (_, _) => row::<1>(&left, panel, out),
-                    }
-                    j += w;
+                let strip_a = &a[i * k..(i + mr) * k];
+                let out = &mut band[i * n + j..];
+                match (mr, w) {
+                    (MR, 16) => strip::<16>(strip_a, k, panel, out, n),
+                    (MR, 8) => strip::<8>(strip_a, k, panel, out, n),
+                    (MR, 4) => strip::<4>(strip_a, k, panel, out, n),
+                    (MR, 2) => strip::<2>(strip_a, k, panel, out, n),
+                    (MR, _) => strip::<1>(strip_a, k, panel, out, n),
+                    (_, 16) => row::<16>(strip_a, panel, out),
+                    (_, 8) => row::<8>(strip_a, panel, out),
+                    (_, 4) => row::<4>(strip_a, panel, out),
+                    (_, 2) => row::<2>(strip_a, panel, out),
+                    (_, _) => row::<1>(strip_a, panel, out),
                 }
                 i += mr;
             }
+            j += w;
         }
     });
 }
 
-/// Rows of the left operand starting at `a[base]`: element `(r, kk)` is
-/// `a[base + r·rs + kk·ds]` — row major (`rs = k`, `ds = 1`) or transposed
-/// (`rs = 1`, `ds = m`).
-#[derive(Clone, Copy)]
-struct Strip<'a> {
-    a: &'a [f64],
-    base: usize,
-    rs: usize,
-    ds: usize,
-}
-
-impl<'a> Strip<'a> {
-    /// Row-major `?×k` rows from `row0` on.
-    fn rows(a: &'a [f64], row0: usize, k: usize) -> Self {
-        Self {
-            a,
-            base: row0 * k,
-            rs: k,
-            ds: 1,
-        }
-    }
-}
-
-/// One `MR×W` register tile over the full contraction: `b` is a packed
-/// `k×W` panel; the tile lands in `out` rows `ldo` apart. Each of the
-/// `MR·W` accumulators is its own chain, fed in ascending `kk` from `0.0`.
-/// The rows are spelled out so the compiler vectorizes along `W` and keeps
-/// the whole tile in registers.
-#[inline(always)]
-fn strip<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64], ldo: usize) {
+/// One `MR×W` register tile over the full contraction: `a` is `MR` rows of
+/// length `k`, `b` a packed `k×W` panel; the tile lands in `out` rows `ldo`
+/// apart. Each of the `MR·W` accumulators is its own chain, fed in
+/// ascending `kk` from `0.0`. The rows are spelled out so the compiler
+/// vectorizes along `W` and keeps the whole tile in registers; each shape
+/// stays out of line so it compiles to its own tight loop (one call per
+/// `k`-deep tile costs nothing).
+#[inline(never)]
+fn strip<const W: usize>(a: &[f64], k: usize, b: &[f64], out: &mut [f64], ldo: usize) {
+    let (a0, rest) = a.split_at(k);
+    let (a1, rest) = rest.split_at(k);
+    let (a2, a3) = rest.split_at(k);
     let mut c = [[0.0f64; W]; MR];
-    let (a, rs) = (l.a, l.rs);
     for (kk, bv) in b.chunks_exact(W).enumerate() {
-        let p = l.base + kk * l.ds;
-        let (x0, x1, x2, x3) = (a[p], a[p + rs], a[p + 2 * rs], a[p + 3 * rs]);
+        let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
         for (t, &bt) in bv.iter().enumerate() {
             c[0][t] += x0 * bt;
             c[1][t] += x1 * bt;
@@ -273,11 +243,10 @@ fn strip<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64], ldo: usize) {
 }
 
 /// The one-row tile for the rows below the last full strip.
-#[inline(always)]
-fn row<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64]) {
+#[inline(never)]
+fn row<const W: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
     let mut c = [0.0f64; W];
-    for (kk, bv) in b.chunks_exact(W).enumerate() {
-        let x = l.a[l.base + kk * l.ds];
+    for (&x, bv) in a.iter().zip(b.chunks_exact(W)) {
         for (acc, &bt) in c.iter_mut().zip(bv) {
             *acc += x * bt;
         }
@@ -286,9 +255,11 @@ fn row<const W: usize>(l: &Strip, b: &[f64], out: &mut [f64]) {
 }
 
 thread_local! {
-    /// Reusable packing buffer: keeps the steady-state GEMM path
-    /// allocation-free (each worker thread owns one panel).
+    /// Reusable packing buffers — the right operand's column panel, and
+    /// the band's rows of `aᵀ` — keeping the steady-state GEMM path
+    /// allocation-free (each worker thread owns its own).
     static PANEL: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+    static LEFT_T: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Packs columns `j..j+w` of the row-major `k×n` matrix `b` into a
@@ -301,29 +272,40 @@ fn pack_cols(dst: &mut [f64], b: &[f64], j: usize, w: usize, n: usize) {
 
 /// `band = a[row0..][..rows] · b` (`a` is `m×k`, `b` is `k×n`).
 fn band_mul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    tiled(band, Strip::rows(a, row0, k), k, n, |dst, j, w| {
+    let rows = band.len() / n.max(1);
+    tiled(band, &a[row0 * k..(row0 + rows) * k], k, n, |dst, j, w| {
         pack_cols(dst, b, j, w, n)
     });
 }
 
 /// `band = (aᵀ · b)[row0..]` where `a` is `p×m` and `b` is `p×n`; the band
-/// covers output rows `row0..row0+rows` (i.e. columns of `a`), so a strip
-/// of `aᵀ` reads `MR` adjacent values of each row of `a`.
+/// covers output rows `row0..row0+rows` (i.e. columns of `a`). Those
+/// columns are first packed into row-major rows of `aᵀ` — one pass, reused
+/// by every column tile — so `dW = dYᵀ·X` runs on the same register tiles
+/// as the other two products.
 fn band_tmul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, p: usize, m: usize, n: usize) {
-    let left = Strip {
-        a,
-        base: row0,
-        rs: 1,
-        ds: m,
-    };
-    tiled(band, left, p, n, |dst, j, w| pack_cols(dst, b, j, w, n));
+    if band.is_empty() {
+        return;
+    }
+    let rows = band.len() / n;
+    LEFT_T.with_borrow_mut(|at| {
+        at.clear();
+        at.resize(rows * p, 0.0);
+        for (r, arow) in a.chunks_exact(m).enumerate() {
+            for (i, &v) in arow[row0..row0 + rows].iter().enumerate() {
+                at[i * p + r] = v;
+            }
+        }
+        tiled(band, at, p, n, |dst, j, w| pack_cols(dst, b, j, w, n));
+    });
 }
 
 /// `band = (a · bᵀ)[row0..]` where `b` is `n×k` row-major: the right
 /// operand's rows are its columns here, so packing transposes `b` into the
 /// panel and the shared driver does the rest.
 fn band_mul_bt(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, k: usize, n: usize) {
-    tiled(band, Strip::rows(a, row0, k), k, n, |dst, j, w| {
+    let rows = band.len() / n.max(1);
+    tiled(band, &a[row0 * k..(row0 + rows) * k], k, n, |dst, j, w| {
         for t in 0..w {
             let brow = &b[(j + t) * k..(j + t) * k + k];
             for (kk, &v) in brow.iter().enumerate() {
@@ -432,5 +414,22 @@ mod tests {
         matmul_into(&mut out, &a, &b);
         assert_eq!((out.rows(), out.cols()), (3, 2));
         assert!(out.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn degenerate_shapes_fused_transpose() {
+        let mut out = Matrix::from_vec(1, 1, vec![7.0]);
+        for (p, m, n) in [(4, 0, 3), (0, 3, 2), (4, 3, 0), (0, 0, 0)] {
+            let a = Matrix::zeros(p, m);
+            let b = Matrix::zeros(p, n);
+            matmul_transpose_a_into(&mut out, &a, &b);
+            assert_eq!((out.rows(), out.cols()), (m, n));
+            assert!(out.data().iter().all(|&v| v == 0.0));
+            let a = Matrix::zeros(m, p);
+            let b = Matrix::zeros(n, p);
+            matmul_transpose_b_into(&mut out, &a, &b);
+            assert_eq!((out.rows(), out.cols()), (m, n));
+            assert!(out.data().iter().all(|&v| v == 0.0));
+        }
     }
 }
