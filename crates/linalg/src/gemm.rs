@@ -212,6 +212,7 @@ fn tiled(
             }
             j += w;
         }
+        release_if_large(panel);
     });
 }
 
@@ -252,6 +253,19 @@ fn row<const W: usize>(a: &[f64], b: &[f64], out: &mut [f64]) {
         }
     }
     out[..W].copy_from_slice(&c);
+}
+
+/// Packing scratch above this many f64s (64 KiB) is released after the
+/// product instead of being kept for the thread's lifetime: the trained
+/// shapes need at most 32 KiB, and an occasional large product (a PCA
+/// covariance over thousands of rows) must not pin its panels in every
+/// thread that ever ran one.
+const RETAIN_MAX: usize = 8 * 1024;
+
+fn release_if_large(buf: &mut Vec<f64>) {
+    if buf.capacity() > RETAIN_MAX {
+        *buf = Vec::new();
+    }
 }
 
 thread_local! {
@@ -297,6 +311,7 @@ fn band_tmul(band: &mut [f64], a: &[f64], b: &[f64], row0: usize, p: usize, m: u
             }
         }
         tiled(band, at, p, n, |dst, j, w| pack_cols(dst, b, j, w, n));
+        release_if_large(at);
     });
 }
 
