@@ -1,5 +1,5 @@
-//! Blocked, optionally multithreaded GEMM kernels with fused-transpose
-//! variants.
+//! Packed register-tile, optionally multithreaded GEMM kernels with
+//! fused-transpose variants.
 //!
 //! Three products cover every dense contraction in the workspace:
 //!
@@ -14,14 +14,14 @@
 //! the fused-transpose kernels **bit-identical** to the naive triple loop
 //! (and to `transpose()` followed by `matmul`), which the property tests
 //! assert. The three products share one packed driver (`tiled`); the tile
-//! shape is chosen from the output width (`tile_shape`) and changes
-//! only speed, never a bit of the result.
+//! width is chosen from the output width (`widest_tile`) and changes only
+//! speed, never a bit of the result.
 //!
 //! Large products are split into contiguous bands of output rows and fanned
 //! out over `crossbeam` scoped threads; disjoint output bands make the
 //! parallel result deterministic regardless of scheduling. Small products
 //! (under [`PARALLEL_FLOP_CUTOFF`] multiply-adds) skip thread spawn entirely
-//! and run the serial blocked kernel.
+//! and run the serial tiled kernel.
 
 use crate::matrix::Matrix;
 
