@@ -87,6 +87,10 @@ RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
 # portable kernels too (the SIMD path is covered by the workspace run).
 RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
     cargo test -q --offline -p warper-serve --test fleet_proptests
+# The single-tenant serving pins (synchronous replay and network load
+# checksums, both f64) must hold on the portable kernels too.
+RUSTFLAGS="" CARGO_TARGET_DIR=target/portable \
+    cargo test -q --offline -p warper-serve --test serving_pins
 # Sketch merge laws, refresh-equals-rebuild, and HLL error bounds must hold
 # on the portable build too — the sketches hash every table value, so a
 # codegen difference here would silently skew drift detection fleet-wide.
