@@ -30,7 +30,7 @@ use warper_serve::net::{
     run_net_loadgen, AckLevel, AckMode, EstimateClient, NetLoadSpec, PrimaryNode, PrimarySpec,
     RetryPolicy, StandbyConfig, StandbyNode, TcpDialer,
 };
-use warper_serve::ServiceConfig;
+use warper_serve::FleetConfig;
 use warper_storage::{generate, DatasetKind};
 
 const REPL_APPENDS: usize = 300;
@@ -62,9 +62,9 @@ fn main() {
             n_p: 30,
             ..Default::default()
         },
-        service: ServiceConfig {
+        fleet: FleetConfig {
             workers: 2,
-            ..Default::default()
+            ..FleetConfig::single_tenant()
         },
         ack_timeout: Duration::from_secs(2),
         ..Default::default()

@@ -4,9 +4,10 @@
 //!
 //! Three claims are measured (and asserted):
 //!
-//! 1. **Micro-batching pays.** The same closed-loop replay served with
-//!    `max_batch = 64` must push ≥ 3× the throughput of one-at-a-time
-//!    service (`max_batch = 1`, no linger): batching collapses per-request
+//! 1. **Micro-batching pays.** The same closed-loop replay served by a
+//!    one-shard fleet with `max_packed_batch = 64` must push ≥ 3× the
+//!    throughput of one-at-a-time service (`max_packed_batch = 1`, no
+//!    linger): batching collapses per-request
 //!    queue/wake overhead and turns per-query matrix-vector products into
 //!    one GEMM per layer. Worker-side `inference_nanos` splits each
 //!    batch's cost into GEMM time vs queue/wake time.
@@ -33,8 +34,8 @@ use warper_ce::{CardinalityEstimator, Precision};
 use warper_core::WarperConfig;
 use warper_metrics::LatencyHistogram;
 use warper_serve::{
-    run_replay, AdaptConfig, AdaptMode, DriftEvent, DriftKind, EstimationService, ModelSnapshot,
-    ReplayReport, ReplaySpec, ServiceConfig, ServiceStats, SnapshotCell,
+    run_replay, AdaptConfig, AdaptMode, DriftEvent, DriftKind, Fleet, FleetConfig, FleetStats,
+    ModelSnapshot, ReplayReport, ReplaySpec, ShardKey, ShardSpec,
 };
 use warper_storage::{generate, DatasetKind};
 
@@ -53,19 +54,25 @@ fn latency_json(rep: &ReplayReport) -> serde_json::Value {
     hist_json(&rep.latency)
 }
 
-/// Closed-loop throughput of the service alone: `clients` threads replay
-/// `feats` against a fixed model under the given batching policy.
+/// Closed-loop throughput of a one-shard fleet alone: `clients` threads
+/// replay `feats` against a fixed model under the given batching policy.
 fn service_throughput(
     model: &dyn CardinalityEstimator,
-    cfg: ServiceConfig,
+    cfg: FleetConfig,
     clients: usize,
     feats: &[Vec<f64>],
-) -> (f64, LatencyHistogram, ServiceStats) {
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(
-        model.snapshot().expect("LmMlp snapshots"),
-    )));
-    let service = EstimationService::start(Arc::clone(&cell), cfg);
-    let handle = service.handle();
+) -> (f64, LatencyHistogram, FleetStats) {
+    let fleet = Fleet::start(
+        vec![ShardSpec {
+            key: ShardKey::new("bench", "main"),
+            snapshot: Arc::new(ModelSnapshot::initial(
+                model.snapshot().expect("LmMlp snapshots"),
+            )),
+            adapt: None,
+        }],
+        cfg,
+    );
+    let handle = fleet.handle();
 
     let t0 = Instant::now();
     let mut latency = LatencyHistogram::new();
@@ -77,7 +84,7 @@ fn service_throughput(
                     let mut hist = LatencyHistogram::new();
                     for f in feats.iter().skip(c).step_by(clients) {
                         let sent = Instant::now();
-                        h.estimate(f.clone()).expect("closed loop never sheds");
+                        h.estimate(0, f.clone()).expect("closed loop never sheds");
                         hist.record_duration(sent.elapsed());
                     }
                     hist
@@ -89,19 +96,30 @@ fn service_throughput(
         }
     });
     let qps = feats.len() as f64 / t0.elapsed().as_secs_f64();
-    let stats = service.shutdown();
+    let (stats, _, _) = fleet.shutdown();
     (qps, latency, stats)
+}
+
+/// Mean microseconds inside `estimate_many` per GEMM call.
+fn gemm_us_per_batch(stats: &FleetStats) -> f64 {
+    stats.inference_nanos as f64 / 1e3 / stats.gemm_groups.max(1) as f64
+}
+
+/// Mean microseconds inside `estimate_many` attributed to each served
+/// request (call time divided across the batch).
+fn gemm_us_per_request(stats: &FleetStats) -> f64 {
+    stats.inference_nanos as f64 / 1e3 / stats.served.max(1) as f64
 }
 
 /// GEMM-vs-queue breakdown of a batching policy: per-batch model time
 /// (worker-measured) and the queue/wake remainder of the mean request
 /// latency.
-fn breakdown_json(stats: &ServiceStats, latency: &LatencyHistogram) -> serde_json::Value {
-    let gemm_per_req_us = stats.mean_inference_micros_per_request();
+fn breakdown_json(stats: &FleetStats, latency: &LatencyHistogram) -> serde_json::Value {
+    let gemm_per_req_us = gemm_us_per_request(stats);
     let queue_per_req_us = (latency.mean() / 1e3 - gemm_per_req_us).max(0.0);
     serde_json::json!({
-        "mean_batch": stats.mean_batch(),
-        "gemm_us_per_batch": stats.mean_inference_micros_per_batch(),
+        "mean_batch": stats.mean_gemm_batch(),
+        "gemm_us_per_batch": gemm_us_per_batch(stats),
         "gemm_us_per_request": gemm_per_req_us,
         "queue_us_per_request": queue_per_req_us,
     })
@@ -140,24 +158,22 @@ fn main() {
 
     let (batch1_qps, batch1_lat, batch1_stats) = service_throughput(
         &model,
-        ServiceConfig {
+        FleetConfig {
             workers: 2,
-            max_batch: 1,
-            batch_linger: Duration::ZERO,
-            queue_capacity: 1024,
-            ..ServiceConfig::default()
+            max_packed_batch: 1,
+            quantum: 1,
+            pack_linger: Duration::ZERO,
+            ..FleetConfig::single_tenant()
         },
         CLIENTS,
         &feats,
     );
     let (batch64_qps, batch64_lat, batch64_stats) = service_throughput(
         &model,
-        ServiceConfig {
+        FleetConfig {
             workers: 2,
-            max_batch: 64,
-            batch_linger: Duration::from_micros(200),
-            queue_capacity: 1024,
-            ..ServiceConfig::default()
+            pack_linger: Duration::from_micros(200),
+            ..FleetConfig::single_tenant()
         },
         CLIENTS,
         &feats,
@@ -171,11 +187,11 @@ fn main() {
     println!(
         "  batch 1:  gemm {:.1} us/batch, queue {:.1} us/req | batch 64: gemm {:.1} us/batch \
          ({:.2} us/req), queue {:.1} us/req",
-        batch1_stats.mean_inference_micros_per_batch(),
-        (batch1_lat.mean() / 1e3 - batch1_stats.mean_inference_micros_per_request()).max(0.0),
-        batch64_stats.mean_inference_micros_per_batch(),
-        batch64_stats.mean_inference_micros_per_request(),
-        (batch64_lat.mean() / 1e3 - batch64_stats.mean_inference_micros_per_request()).max(0.0),
+        gemm_us_per_batch(&batch1_stats),
+        (batch1_lat.mean() / 1e3 - gemm_us_per_request(&batch1_stats)).max(0.0),
+        gemm_us_per_batch(&batch64_stats),
+        gemm_us_per_request(&batch64_stats),
+        (batch64_lat.mean() / 1e3 - gemm_us_per_request(&batch64_stats)).max(0.0),
     );
     assert!(
         speedup >= 3.0,
@@ -216,12 +232,10 @@ fn main() {
         17,
     );
     let pfeats = &feats[..12_000];
-    let pcfg = || ServiceConfig {
+    let pcfg = || FleetConfig {
         workers: 1,
-        max_batch: 64,
-        batch_linger: Duration::from_micros(200),
-        queue_capacity: 1024,
-        ..ServiceConfig::default()
+        pack_linger: Duration::from_micros(200),
+        ..FleetConfig::single_tenant()
     };
     const P_CLIENTS: usize = 64;
 
@@ -244,9 +258,9 @@ fn main() {
     );
     println!(
         "  gemm us/batch: f64 {:.0} | f32 {:.0} | int8 {:.0}",
-        f64_stats.mean_inference_micros_per_batch(),
-        f32_stats.mean_inference_micros_per_batch(),
-        i8_stats.mean_inference_micros_per_batch(),
+        gemm_us_per_batch(&f64_stats),
+        gemm_us_per_batch(&f32_stats),
+        gemm_us_per_batch(&i8_stats),
     );
     assert!(
         f32_speedup >= 4.0,

@@ -1,16 +1,21 @@
-//! The background adaptation worker.
+//! The adaptation step and the background worker that drives it.
 //!
 //! A serving deployment keeps two copies of the model: the frozen
-//! [`ModelSnapshot`] the workers answer from, and a private copy this
-//! worker retrains. Arrived queries stream into a bounded inbox
-//! ([`AdaptWorker::observe`] — never blocking the serving path; a full
-//! inbox drops the *observation*, never the request). Once `invoke_every`
-//! observations accumulate (or `max_wait` elapses with at least one), the
-//! worker runs one supervised adaptation step — checkpoint → invoke →
-//! validate → commit or roll back — and, only on the commit path, snapshots
-//! the updated model and publishes it to the [`SnapshotCell`]. Rolled-back
-//! steps publish nothing: the serving side keeps answering from the last
-//! good generation.
+//! [`ModelSnapshot`] the workers answer from, and a private copy the
+//! adaptation side retrains. [`AdaptStep`] is one shard's Algorithm 1
+//! invocation: probe the table for drift, write-ahead log the labeled
+//! arrivals, run one supervised step — checkpoint → invoke → validate →
+//! commit or roll back — and, only on the commit path, snapshot the updated
+//! model and publish it to the shard's [`SnapshotCell`]. Rolled-back steps
+//! publish nothing: the serving side keeps answering from the last good
+//! generation.
+//!
+//! [`AdaptWorker`] runs that step on a background thread. Arrived queries
+//! stream into a bounded inbox ([`AdaptWorker::observe`] — never blocking
+//! the serving path; a full inbox drops the *observation*, never the
+//! request). Once `invoke_every` observations accumulate (or `max_wait`
+//! elapses with at least one), the worker runs one step. The synchronous
+//! replay (`crate::replay`) runs the same step at its segment barriers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -29,13 +34,14 @@ use warper_durable::DurableStore;
 use warper_query::{Annotator, RangePredicate};
 use warper_storage::Table;
 
+use crate::fleet::ShardAdapt;
 use crate::queue::BatchQueue;
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 
 /// Durably log labeled arrivals before an invocation consumes them.
 /// Best-effort: a failed append keeps the label usable in memory — it is
 /// simply not crash-protected (and is counted in the store's stats).
-pub(crate) fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[ArrivedQuery]) {
+fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[ArrivedQuery]) {
     let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
     for q in arrived {
         if let Some(gt) = q.gt {
@@ -45,11 +51,7 @@ pub(crate) fn log_labeled_arrivals(store: &Mutex<DurableStore>, arrived: &[Arriv
 }
 
 /// Durably log the labels an annotation round produced.
-pub(crate) fn log_annotations(
-    store: &Mutex<DurableStore>,
-    feats: &[Vec<f64>],
-    labels: &[Option<f64>],
-) {
+fn log_annotations(store: &Mutex<DurableStore>, feats: &[Vec<f64>], labels: &[Option<f64>]) {
     let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
     for (f, l) in feats.iter().zip(labels) {
         if let Some(gt) = l {
@@ -135,53 +137,20 @@ pub struct AdaptWorker {
 }
 
 impl AdaptWorker {
-    /// Spawns the worker. `ctl` and `model` are the adaptation-side copies;
-    /// committed updates are snapshotted into `cell`. The worker reads
-    /// `table` (telemetry + annotation) under short-lived read locks, so a
+    /// Spawns the worker over one shard's adaptation side; committed
+    /// updates are snapshotted into `cell`. The worker reads the shard's
+    /// table (telemetry + annotation) under short-lived read locks, so a
     /// drift mutator holding the write lock never waits on a whole
-    /// retraining step.
-    pub fn spawn(
-        ctl: WarperController,
-        model: Box<dyn CardinalityEstimator>,
-        cell: Arc<SnapshotCell<ModelSnapshot>>,
-        table: Arc<RwLock<Table>>,
-        fmap: FeatureMap,
-        cfg: AdaptConfig,
-    ) -> Self {
-        Self::spawn_with_store(ctl, model, cell, table, fmap, cfg, None)
-    }
-
-    /// [`AdaptWorker::spawn`] with a durable store: annotation labels are
-    /// write-ahead logged as they are paid for, and every committed
-    /// invocation counts toward the store's checkpoint cadence.
-    pub fn spawn_with_store(
-        ctl: WarperController,
-        model: Box<dyn CardinalityEstimator>,
-        cell: Arc<SnapshotCell<ModelSnapshot>>,
-        table: Arc<RwLock<Table>>,
-        fmap: FeatureMap,
-        cfg: AdaptConfig,
-        store: Option<Arc<Mutex<DurableStore>>>,
-    ) -> Self {
-        let inbox = Arc::new(BatchQueue::new(cfg.inbox_capacity.max(1)));
+    /// retraining step. With a store, annotation labels are write-ahead
+    /// logged as they are paid for, and every committed invocation counts
+    /// toward the store's checkpoint cadence.
+    pub fn spawn(a: ShardAdapt, cell: Arc<SnapshotCell<ModelSnapshot>>) -> Self {
+        let inbox = Arc::new(BatchQueue::new(a.cfg.inbox_capacity.max(1)));
         let dropped = Arc::new(AtomicUsize::new(0));
         let worker_inbox = Arc::clone(&inbox);
-        let worker_dropped = Arc::clone(&dropped);
         let handle = std::thread::Builder::new()
             .name("serve-adapt".into())
-            .spawn(move || {
-                worker_main(
-                    ctl,
-                    model,
-                    cell,
-                    table,
-                    fmap,
-                    cfg,
-                    worker_inbox,
-                    worker_dropped,
-                    store,
-                )
-            })
+            .spawn(move || worker_main(a, cell, &worker_inbox))
             .expect("spawn adaptation worker");
         Self {
             inbox,
@@ -202,8 +171,169 @@ impl AdaptWorker {
     pub fn finish(self) -> AdaptStats {
         self.inbox.close();
         match self.handle.join() {
-            Ok(stats) => stats,
+            Ok(stats) => AdaptStats {
+                dropped_observations: self.dropped.load(Ordering::Relaxed),
+                ..stats
+            },
             Err(e) => std::panic::resume_unwind(e),
+        }
+    }
+}
+
+fn worker_main(
+    a: ShardAdapt,
+    cell: Arc<SnapshotCell<ModelSnapshot>>,
+    inbox: &BatchQueue<ArrivedQuery>,
+) -> AdaptStats {
+    let (invoke_every, max_wait) = (a.cfg.invoke_every.max(1), a.cfg.max_wait);
+    let mut step = AdaptStep::new(a, cell);
+    let mut batch: Vec<ArrivedQuery> = Vec::new();
+    while inbox.pop_batch(invoke_every, max_wait, &mut batch) {
+        step.run(&batch);
+    }
+    step.finish()
+}
+
+/// One shard's adaptation step: the supervisor with its publication hook,
+/// the telemetry probe and canaries, and the running stats. Both the
+/// background [`AdaptWorker`] and the synchronous replay barriers
+/// (`crate::replay`) drive adaptation through [`AdaptStep::run`].
+pub(crate) struct AdaptStep {
+    ctl: WarperController,
+    model: Box<dyn CardinalityEstimator>,
+    table: Arc<RwLock<Table>>,
+    fmap: FeatureMap,
+    store: Option<Arc<Mutex<DurableStore>>>,
+    sup: Supervisor,
+    annotator: Annotator,
+    probe: SketchProbe,
+    canaries: CanarySet,
+    stats: AdaptStats,
+    published: Arc<AtomicUsize>,
+    publish_failures: Arc<AtomicUsize>,
+    quant_refusals: Arc<AtomicUsize>,
+}
+
+impl AdaptStep {
+    /// Wires the supervisor's commit hook to `cell` and baselines the
+    /// telemetry on the shard's table. A controller recovered from a
+    /// checkpoint carries the sketch baseline its model was trained
+    /// against — resuming from it means drift that happened across the
+    /// restart is still seen. A fresh controller baselines on the table as
+    /// it stands now.
+    pub(crate) fn new(a: ShardAdapt, cell: Arc<SnapshotCell<ModelSnapshot>>) -> Self {
+        let ShardAdapt {
+            mut ctl,
+            model,
+            table,
+            fmap,
+            cfg,
+            store,
+        } = a;
+        let published = Arc::new(AtomicUsize::new(0));
+        let publish_failures = Arc::new(AtomicUsize::new(0));
+        let quant_refusals = Arc::new(AtomicUsize::new(0));
+        let sup = Supervisor::new(cfg.supervisor).with_commit_hook(publish_hook(
+            cell,
+            Arc::clone(&published),
+            Arc::clone(&publish_failures),
+            Arc::clone(&quant_refusals),
+            store.clone(),
+            cfg.precision,
+            cfg.supervisor.quant_gmq_tolerance,
+        ));
+        let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, seed_stream::ADAPT));
+        let (probe, canaries) = {
+            let t = table.read().unwrap_or_else(PoisonError::into_inner);
+            let probe = match ctl.sketch_baseline() {
+                Some(b) => SketchProbe::from_baseline(b.clone(), ctl.config()),
+                None => SketchProbe::new(&t, ctl.config()),
+            };
+            (probe, CanarySet::new(&t, cfg.canaries, &mut rng))
+        };
+        // The baseline rides every checkpoint the supervisor cuts from here on.
+        ctl.set_sketch_baseline(Some(probe.baseline().clone()));
+        Self {
+            ctl,
+            model,
+            table,
+            fmap,
+            store,
+            sup,
+            annotator: Annotator::new(),
+            probe,
+            canaries,
+            stats: AdaptStats::default(),
+            published,
+            publish_failures,
+            quant_refusals,
+        }
+    }
+
+    /// One supervised invocation over `arrived`: probe the table, WAL-log
+    /// the labeled arrivals, invoke (annotating — and logging — what it
+    /// asks for), and count the outcome.
+    pub(crate) fn run(&mut self, arrived: &[ArrivedQuery]) {
+        let telemetry = {
+            let t = self.table.read().unwrap_or_else(PoisonError::into_inner);
+            self.probe.telemetry(&t, &self.canaries)
+        };
+        let (table, fmap, annotator, store) =
+            (&self.table, &self.fmap, &self.annotator, &self.store);
+        let mut annotate = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
+            let preds: Vec<RangePredicate> = qs.iter().map(|f| fmap.defeaturize(f)).collect();
+            let labels: Vec<Option<f64>> = {
+                let t = table.read().unwrap_or_else(PoisonError::into_inner);
+                annotator
+                    .count_batch(&t, &preds)
+                    .into_iter()
+                    .map(|c| Some(c as f64))
+                    .collect()
+            };
+            if let Some(store) = store {
+                log_annotations(store, qs, &labels);
+            }
+            labels
+        };
+        if let Some(store) = store {
+            log_labeled_arrivals(store, arrived);
+        }
+        let t0 = Instant::now();
+        let report = self.sup.invoke(
+            &mut self.ctl,
+            self.model.as_mut(),
+            arrived,
+            &telemetry,
+            &mut annotate,
+        );
+        self.stats.adapt_secs += t0.elapsed().as_secs_f64();
+        self.stats.invocations += 1;
+        self.stats.annotated += report.annotated;
+        self.stats.generated += report.generated;
+        if report.rollback.is_some() {
+            self.stats.rollbacks += 1;
+        } else {
+            self.stats.commits += 1;
+        }
+    }
+
+    /// Fully handled whatever drift occurred: rebaselines the probe on the
+    /// table as it stands and parks the new baseline in the controller (so
+    /// a successor recovered from the final checkpoint starts quiet), then
+    /// returns the step's lifetime stats.
+    pub(crate) fn finish(mut self) -> AdaptStats {
+        {
+            let t = self.table.read().unwrap_or_else(PoisonError::into_inner);
+            self.probe.rebaseline(&t);
+        }
+        self.ctl
+            .set_sketch_baseline(Some(self.probe.baseline().clone()));
+        AdaptStats {
+            probe: self.probe.stats,
+            published: self.published.load(Ordering::Relaxed),
+            publish_failures: self.publish_failures.load(Ordering::Relaxed),
+            quant_refusals: self.quant_refusals.load(Ordering::Relaxed),
+            ..self.stats
         }
     }
 }
@@ -256,101 +386,6 @@ fn publish_hook(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_main(
-    mut ctl: WarperController,
-    mut model: Box<dyn CardinalityEstimator>,
-    cell: Arc<SnapshotCell<ModelSnapshot>>,
-    table: Arc<RwLock<Table>>,
-    fmap: FeatureMap,
-    cfg: AdaptConfig,
-    inbox: Arc<BatchQueue<ArrivedQuery>>,
-    dropped: Arc<AtomicUsize>,
-    store: Option<Arc<Mutex<DurableStore>>>,
-) -> AdaptStats {
-    let published = Arc::new(AtomicUsize::new(0));
-    let publish_failures = Arc::new(AtomicUsize::new(0));
-    let quant_refusals = Arc::new(AtomicUsize::new(0));
-    let mut sup = Supervisor::new(cfg.supervisor).with_commit_hook(publish_hook(
-        Arc::clone(&cell),
-        Arc::clone(&published),
-        Arc::clone(&publish_failures),
-        Arc::clone(&quant_refusals),
-        store.clone(),
-        cfg.precision,
-        cfg.supervisor.quant_gmq_tolerance,
-    ));
-
-    let annotator = Annotator::new();
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, seed_stream::ADAPT));
-    // Telemetry baselines. A controller recovered from a checkpoint carries
-    // the sketch baseline its model was trained against — resuming from it
-    // means drift that happened across the restart is still seen. A fresh
-    // controller baselines on the table as it stands at spawn.
-    let (mut probe, canaries) = {
-        let t = table.read().unwrap_or_else(PoisonError::into_inner);
-        let probe = match ctl.sketch_baseline() {
-            Some(b) => SketchProbe::from_baseline(b.clone(), ctl.config()),
-            None => SketchProbe::new(&t, ctl.config()),
-        };
-        (probe, CanarySet::new(&t, cfg.canaries, &mut rng))
-    };
-    // The baseline rides every checkpoint the supervisor cuts from here on.
-    ctl.set_sketch_baseline(Some(probe.baseline().clone()));
-
-    let mut stats = AdaptStats::default();
-    let mut batch: Vec<ArrivedQuery> = Vec::new();
-    while inbox.pop_batch(cfg.invoke_every.max(1), cfg.max_wait, &mut batch) {
-        let telemetry = {
-            let t = table.read().unwrap_or_else(PoisonError::into_inner);
-            probe.telemetry(&t, &canaries)
-        };
-        let mut annotate = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
-            let preds: Vec<RangePredicate> = qs.iter().map(|f| fmap.defeaturize(f)).collect();
-            let labels: Vec<Option<f64>> = {
-                let t = table.read().unwrap_or_else(PoisonError::into_inner);
-                annotator
-                    .count_batch(&t, &preds)
-                    .into_iter()
-                    .map(|c| Some(c as f64))
-                    .collect()
-            };
-            if let Some(store) = &store {
-                log_annotations(store, qs, &labels);
-            }
-            labels
-        };
-        if let Some(store) = &store {
-            log_labeled_arrivals(store, &batch);
-        }
-        let t0 = Instant::now();
-        let report = sup.invoke(&mut ctl, model.as_mut(), &batch, &telemetry, &mut annotate);
-        stats.adapt_secs += t0.elapsed().as_secs_f64();
-        stats.invocations += 1;
-        stats.annotated += report.annotated;
-        stats.generated += report.generated;
-        if report.rollback.is_some() {
-            stats.rollbacks += 1;
-        } else {
-            stats.commits += 1;
-        }
-    }
-    // Fully handled whatever drift occurred: rebaseline the probe on the
-    // table as it stands and park the new baseline in the controller so a
-    // successor worker (recovered from the final checkpoint) starts quiet.
-    {
-        let t = table.read().unwrap_or_else(PoisonError::into_inner);
-        probe.rebaseline(&t);
-        ctl.set_sketch_baseline(Some(probe.baseline().clone()));
-    }
-    stats.probe = probe.stats;
-    stats.published = published.load(Ordering::Relaxed);
-    stats.publish_failures = publish_failures.load(Ordering::Relaxed);
-    stats.quant_refusals = quant_refusals.load(Ordering::Relaxed);
-    stats.dropped_observations = dropped.load(Ordering::Relaxed);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,17 +424,20 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
         let shared = Arc::new(RwLock::new(table.clone()));
         let worker = AdaptWorker::spawn(
-            ctl,
-            prepared.model,
-            Arc::clone(&cell),
-            shared,
-            prepared.fmap.clone(),
-            AdaptConfig {
-                invoke_every: 30,
-                max_wait: Duration::from_millis(5),
-                seed: 11,
-                ..Default::default()
+            ShardAdapt {
+                ctl,
+                model: prepared.model,
+                table: shared,
+                fmap: prepared.fmap.clone(),
+                cfg: AdaptConfig {
+                    invoke_every: 30,
+                    max_wait: Duration::from_millis(5),
+                    seed: 11,
+                    ..Default::default()
+                },
+                store: None,
             },
+            Arc::clone(&cell),
         );
 
         // Feed two invocations' worth of drifted-workload arrivals.
@@ -441,18 +479,21 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
         let shared = Arc::new(RwLock::new(table.clone()));
         let worker = AdaptWorker::spawn(
-            ctl,
-            prepared.model,
-            cell,
-            shared,
-            prepared.fmap.clone(),
-            AdaptConfig {
-                invoke_every: 1_000_000, // never invoke: everything queues
-                max_wait: Duration::from_secs(60),
-                inbox_capacity: 8,
-                seed: 5,
-                ..Default::default()
+            ShardAdapt {
+                ctl,
+                model: prepared.model,
+                table: shared,
+                fmap: prepared.fmap.clone(),
+                cfg: AdaptConfig {
+                    invoke_every: 1_000_000, // never invoke: everything queues
+                    max_wait: Duration::from_secs(60),
+                    inbox_capacity: 8,
+                    seed: 5,
+                    ..Default::default()
+                },
+                store: None,
             },
+            cell,
         );
         let dim = prepared.fmap.dim();
         let t0 = Instant::now();

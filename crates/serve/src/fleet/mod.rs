@@ -114,8 +114,11 @@ pub struct FleetConfig {
     /// How long a worker lingers for more ready shards after the first,
     /// before executing a smaller pack.
     pub pack_linger: Duration,
-    /// Oldest a request may be when a worker picks it up (see
-    /// [`crate::ServiceConfig::queue_deadline`]). `None` disables.
+    /// Oldest a request may be when a worker picks it up. A request that
+    /// waited longer is shed with [`ServeError::ShedDeadline`] instead of
+    /// being answered late — distinct from admission shed
+    /// ([`ServeError::Shed`]) both in the stats and on the wire. `None`
+    /// disables the check.
     pub queue_deadline: Option<Duration>,
     /// Cross-shard packing. `false` keeps the same shared pool and
     /// fairness but runs one `estimate_many` per shard sub-batch — the
@@ -133,6 +136,20 @@ impl Default for FleetConfig {
             pack_linger: Duration::from_micros(200),
             queue_deadline: None,
             packing: true,
+        }
+    }
+}
+
+impl FleetConfig {
+    /// The shape single-tenant users (the replay harness and the network
+    /// nodes) start from: one shard, so the admission bound must hold every
+    /// client of the tenant, and a pack is one 64-request batch.
+    pub fn single_tenant() -> Self {
+        Self {
+            per_shard_queue: 1024,
+            max_packed_batch: 64,
+            quantum: 64,
+            ..Self::default()
         }
     }
 }
@@ -380,13 +397,7 @@ impl Fleet {
             .collect();
         let adapts = adapt_inputs
             .into_iter()
-            .map(|input| {
-                input.map(|(a, cell)| {
-                    AdaptWorker::spawn_with_store(
-                        a.ctl, a.model, cell, a.table, a.fmap, a.cfg, a.store,
-                    )
-                })
-            })
+            .map(|input| input.map(|(a, cell)| AdaptWorker::spawn(a, cell)))
             .collect();
         Self {
             shared,

@@ -39,7 +39,7 @@ use warper_storage::{Table, TableSketch};
 use warper_workload::{QueryGenerator, ZipfSampler};
 
 use crate::adapt::{AdaptConfig, AdaptStats};
-use crate::replay::{checksum, DurabilityReport};
+use crate::replay::{checksum, durability_report, DurabilityReport};
 use crate::service::ServeError;
 use crate::snapshot::ModelSnapshot;
 
@@ -184,35 +184,6 @@ pub struct FleetReport {
     pub durability: Vec<(u32, DurabilityReport)>,
     /// GMQ of spot-checked served estimates vs fresh ground truth.
     pub spot_gmq: Option<f64>,
-}
-
-fn durability_report(
-    store: &Mutex<DurableStore>,
-    rec: Option<&RecoveryReport>,
-) -> DurabilityReport {
-    let s = store.lock().unwrap_or_else(PoisonError::into_inner);
-    let stats = s.stats();
-    let mut d = DurabilityReport {
-        resumed: rec.is_some(),
-        final_seq: s.seq(),
-        checkpoints: stats.checkpoints,
-        checkpoint_failures: stats.checkpoint_failures,
-        wal_appends: stats.wal_appends,
-        wal_append_failures: stats.wal_append_failures,
-        checkpoint_secs: stats.checkpoint_secs,
-        wal_secs: stats.wal_secs,
-        ..DurabilityReport::default()
-    };
-    if let Some(rec) = rec {
-        d.resumed_from_seq = rec.snapshot_seq;
-        d.corrupt_snapshots = rec.corrupt_snapshots;
-        d.wal_records_replayed = rec.wal_records_replayed;
-        d.wal_truncated = rec.wal_truncated;
-        d.recovery_secs = rec.recovery_secs;
-        d.restored_pool_len = rec.pool_len;
-        d.restored_pool_labeled = rec.pool_labeled;
-    }
-    d
 }
 
 /// Runs one fleet replay against `table`.

@@ -47,8 +47,8 @@ use super::repl::{
 };
 use super::server::{NetServer, NetServerConfig, NetStats, ServerCore};
 use super::tcp::{dial, TcpDialer};
-use crate::adapt::{AdaptConfig, AdaptStats, AdaptWorker};
-use crate::service::{EstimationService, ServiceConfig, ServiceHandle, ServiceStats};
+use crate::adapt::{AdaptConfig, AdaptStats};
+use crate::fleet::{Fleet, FleetConfig, FleetHandle, FleetStats, ShardAdapt, ShardKey, ShardSpec};
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 
 /// Everything a primary needs beyond the table and the state directory.
@@ -68,8 +68,8 @@ pub struct PrimarySpec {
     pub adapt: AdaptConfig,
     /// Checkpoint cadence for the durable store.
     pub durability: DurabilityConfig,
-    /// Estimation worker-pool shape.
-    pub service: ServiceConfig,
+    /// Shape of the one-shard fleet that serves.
+    pub fleet: FleetConfig,
     /// Per-connection deadlines.
     pub net: NetServerConfig,
     /// How long a [`AckMode::Replicated`] append waits for the standby.
@@ -96,7 +96,7 @@ impl Default for PrimarySpec {
             },
             adapt: AdaptConfig::default(),
             durability: DurabilityConfig::default(),
-            service: ServiceConfig::default(),
+            fleet: FleetConfig::single_tenant(),
             net: NetServerConfig::default(),
             ack_timeout: Duration::from_secs(2),
         }
@@ -108,8 +108,8 @@ impl Default for PrimarySpec {
 pub struct PrimaryReport {
     /// Network front-end counters.
     pub net: NetStats,
-    /// Estimation service counters.
-    pub service: ServiceStats,
+    /// Serving counters of the one-shard fleet.
+    pub fleet: FleetStats,
     /// Adaptation-loop stats.
     pub adapt: AdaptStats,
     /// Replication hub counters.
@@ -118,13 +118,13 @@ pub struct PrimaryReport {
     pub lag: ReplLag,
 }
 
-/// A serving primary: trained model, adaptation worker, replicated durable
-/// store, and the TCP front-end, wired exactly like the in-process replay
-/// harness (`crate::replay`) plus the network and replication layers.
+/// A serving primary: trained model, replicated durable store, and the TCP
+/// front-end over a one-shard [`Fleet`] whose shard adapts in the
+/// background — wired like the in-process replay harness (`crate::replay`)
+/// plus the network and replication layers.
 pub struct PrimaryNode {
     server: Option<NetServer>,
-    service: Option<EstimationService>,
-    adapt: Option<AdaptWorker>,
+    fleet: Option<Fleet>,
     repl: ReplicatedStore,
     hub: Arc<ReplHub>,
     fmap: FeatureMap,
@@ -180,7 +180,6 @@ impl PrimaryNode {
                 adapt_model.name()
             ))
         })?;
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(serving)));
 
         // Replication: hub tap first, then a startup checkpoint, so the
         // oldest entry a subscribing standby can fetch is a full snapshot.
@@ -192,28 +191,30 @@ impl PrimaryNode {
                 .map_err(durable_err)?;
         }
 
-        let shared = Arc::new(RwLock::new(table.clone()));
-        let adapt_cfg = AdaptConfig {
-            seed: spec.seed,
-            ..spec.adapt
-        };
-        let adapt = AdaptWorker::spawn_with_store(
-            ctl,
-            adapt_model,
-            Arc::clone(&cell),
-            shared,
-            fmap.clone(),
-            adapt_cfg,
-            Some(Arc::clone(&repl.store)),
+        let fleet = Fleet::start(
+            vec![ShardSpec {
+                key: node_shard_key(),
+                snapshot: Arc::new(ModelSnapshot::initial(serving)),
+                adapt: Some(ShardAdapt {
+                    ctl,
+                    model: adapt_model,
+                    table: Arc::new(RwLock::new(table.clone())),
+                    fmap: fmap.clone(),
+                    cfg: AdaptConfig {
+                        seed: spec.seed,
+                        ..spec.adapt
+                    },
+                    store: Some(Arc::clone(&repl.store)),
+                }),
+            }],
+            spec.fleet,
         );
-        let service = EstimationService::start(Arc::clone(&cell), spec.service);
-        let core = ServerCore::new(service.handle(), true, Some(Arc::clone(&hub)));
+        let core = ServerCore::new_fleet(fleet.handle(), true, Some(Arc::clone(&hub)));
         let server = NetServer::bind(listen, core, spec.net).map_err(net_err)?;
         let addr = server.local_addr().to_string();
         Ok(Self {
             server: Some(server),
-            service: Some(service),
-            adapt: Some(adapt),
+            fleet: Some(fleet),
             repl,
             hub,
             fmap,
@@ -231,11 +232,12 @@ impl PrimaryNode {
         &self.fmap
     }
 
-    /// In-process submission handle (bypasses the network).
-    pub fn handle(&self) -> ServiceHandle {
-        self.service
+    /// In-process submission handle (bypasses the network). The node
+    /// serves shard 0.
+    pub fn handle(&self) -> FleetHandle {
+        self.fleet
             .as_ref()
-            .expect("service runs until shutdown")
+            .expect("fleet runs until shutdown")
             .handle()
     }
 
@@ -252,8 +254,8 @@ impl PrimaryNode {
     /// Feed one labeled arrival to the adaptation loop (its WAL path
     /// replicates through the store tap).
     pub fn observe(&self, features: Vec<f64>, gt: Option<f64>) {
-        if let Some(adapt) = &self.adapt {
-            adapt.observe(ArrivedQuery { features, gt });
+        if let Some(fleet) = &self.fleet {
+            fleet.observe(0, ArrivedQuery { features, gt });
         }
     }
 
@@ -268,8 +270,8 @@ impl PrimaryNode {
     }
 
     /// Stop everything — the accept loop, live connections (severed, not
-    /// drained: this doubles as the crash in failover tests), adaptation,
-    /// and the worker pool — and report final counters.
+    /// drained: this doubles as the crash in failover tests), the worker
+    /// pool, and adaptation — and report final counters.
     pub fn shutdown(mut self) -> PrimaryReport {
         let lag = self.hub.lag();
         let net = self
@@ -277,19 +279,17 @@ impl PrimaryNode {
             .take()
             .map(NetServer::shutdown)
             .unwrap_or_default();
-        let adapt = self
-            .adapt
-            .take()
-            .map(AdaptWorker::finish)
-            .unwrap_or_default();
-        let service = self
-            .service
-            .take()
-            .map(EstimationService::shutdown)
-            .unwrap_or_default();
+        let (fleet, adapt) = match self.fleet.take() {
+            Some(fleet) => {
+                let (stats, _, adapt) = fleet.shutdown();
+                let adapt = adapt.into_iter().next().map(|(_, a)| a);
+                (stats, adapt.unwrap_or_default())
+            }
+            None => Default::default(),
+        };
         PrimaryReport {
             net,
-            service,
+            fleet,
             adapt,
             repl: self.hub.stats(),
             lag,
@@ -300,8 +300,8 @@ impl PrimaryNode {
 /// Standby tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct StandbyConfig {
-    /// Worker-pool shape for the (post-promotion) front-end.
-    pub service: ServiceConfig,
+    /// Shape of the one-shard fleet the (post-promotion) front-end serves.
+    pub fleet: FleetConfig,
     /// Per-connection deadlines, shared with the replication link.
     pub net: NetServerConfig,
     /// Checkpoint cadence for the promoted store.
@@ -321,7 +321,7 @@ pub struct StandbyConfig {
 impl Default for StandbyConfig {
     fn default() -> Self {
         Self {
-            service: ServiceConfig::default(),
+            fleet: FleetConfig::single_tenant(),
             net: NetServerConfig::default(),
             durability: DurabilityConfig::default(),
             connect_timeout: Duration::from_millis(250),
@@ -354,8 +354,9 @@ pub struct StandbyState {
 pub struct StandbyReport {
     /// Network front-end counters.
     pub net: NetStats,
-    /// Estimation service counters (nonzero only after promotion).
-    pub service: ServiceStats,
+    /// Serving counters of the one-shard fleet (nonzero only after
+    /// promotion).
+    pub fleet: FleetStats,
     /// Replication progress at shutdown.
     pub state: StandbyState,
 }
@@ -382,6 +383,11 @@ impl CardinalityEstimator for ColdModel {
     }
 }
 
+/// The key of a node's only shard.
+fn node_shard_key() -> ShardKey {
+    ShardKey::new("node", "main")
+}
+
 struct StandbyShared {
     inner: Mutex<StandbyState>,
     promote_req: AtomicBool,
@@ -392,7 +398,7 @@ struct StandbyShared {
 /// (automatically on link loss, or on request) through full recovery.
 pub struct StandbyNode {
     server: Option<NetServer>,
-    service: Option<EstimationService>,
+    fleet: Option<Fleet>,
     core: Arc<ServerCore>,
     shared: Arc<StandbyShared>,
     repl_thread: Option<JoinHandle<()>>,
@@ -408,11 +414,17 @@ impl StandbyNode {
         primary: String,
         cfg: StandbyConfig,
     ) -> Result<Self, super::NetError> {
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-            ColdModel,
-        ))));
-        let service = EstimationService::start(Arc::clone(&cell), cfg.service);
-        let core = ServerCore::new(service.handle(), false, None);
+        let fleet = Fleet::start(
+            vec![ShardSpec {
+                key: node_shard_key(),
+                snapshot: Arc::new(ModelSnapshot::initial(Box::new(ColdModel))),
+                adapt: None,
+            }],
+            cfg.fleet,
+        );
+        // Promotion publishes the recovered model into the shard's cell.
+        let cell = Arc::clone(fleet.cell(0).expect("one-shard fleet"));
+        let core = ServerCore::new_fleet(fleet.handle(), false, None);
         let server = NetServer::bind(listen, Arc::clone(&core), cfg.net)?;
         let addr = server.local_addr().to_string();
         let shared = Arc::new(StandbyShared {
@@ -430,7 +442,7 @@ impl StandbyNode {
         };
         Ok(Self {
             server: Some(server),
-            service: Some(service),
+            fleet: Some(fleet),
             core,
             shared,
             repl_thread: Some(repl_thread),
@@ -486,14 +498,14 @@ impl StandbyNode {
             .take()
             .map(NetServer::shutdown)
             .unwrap_or_default();
-        let service = self
-            .service
+        let fleet = self
+            .fleet
             .take()
-            .map(EstimationService::shutdown)
+            .map(|f| f.shutdown().0)
             .unwrap_or_default();
         StandbyReport {
             net,
-            service,
+            fleet,
             state: self
                 .shared
                 .inner
@@ -691,8 +703,7 @@ pub struct NetLoadSpec {
     /// shard (`Msg::EstimateReqShard`) drawn Zipf(`zipf_s`)-skewed from
     /// `0..tenants` on the [`seed_stream::SHARD`] stream — the fleet-side
     /// counterpart of [`crate::fleet::FleetReplaySpec`]. `0` or `1` sends
-    /// plain v1 `EstimateReq` frames (single-service servers, shard 0 on a
-    /// fleet).
+    /// plain v1 `EstimateReq` frames (shard 0).
     pub tenants: u32,
     /// Zipf exponent of the tenant skew (only read when `tenants > 1`).
     pub zipf_s: f64,

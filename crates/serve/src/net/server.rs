@@ -1,13 +1,19 @@
 //! The connection handler and the TCP accept loop.
 //!
+//! Every server fronts a [`crate::Fleet`] — a single-tenant node is a
+//! one-shard fleet. A v1 `EstimateReq` asks shard 0; an `EstimateReqShard`
+//! names its shard, and ids outside the fleet are refused with
+//! `Unavailable { UnknownShard }`.
+//!
 //! Backpressure discipline: a connection handler holds at most one request
-//! in flight — it reads a frame, asks the shared [`crate::ServiceHandle`]
-//! (whose `BatchQueue` sheds on overflow), and writes exactly one response.
+//! in flight — it reads a frame, asks the shared [`FleetHandle`] (whose
+//! per-shard queues shed on overflow), and writes exactly one response.
 //! A full queue therefore maps *directly* to a [`Msg::Shed`] on the wire;
 //! nothing on the path buffers unboundedly. Deadlines bound both
 //! directions: a read or write that misses its per-connection deadline
-//! trips the counter (surfaced in `ServiceStats::deadline_trips`) and
-//! closes the connection — the client's bounded retry owns recovery.
+//! trips the counter (surfaced in [`NetStats`] and
+//! `FleetStats::deadline_trips`) and closes the connection — the client's
+//! bounded retry owns recovery.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -20,7 +26,7 @@ use super::repl::ReplHub;
 use super::tcp::Listener;
 use super::NetError;
 use crate::fleet::FleetHandle;
-use crate::service::{Estimate, ServeError, ServiceHandle};
+use crate::service::ServeError;
 
 /// Per-connection tunables.
 #[derive(Debug, Clone, Copy)]
@@ -94,39 +100,11 @@ pub struct NetStats {
     pub standbys: u64,
 }
 
-/// Where requests land: one service, or a shard-routed fleet.
-///
-/// The wire stays v1-compatible in both directions: a plain `EstimateReq`
-/// against a fleet routes to shard 0, and an `EstimateReqShard` against a
-/// single service is honored for shard 0 and refused with `UnknownShard`
-/// for any other id.
-enum Route {
-    Single(ServiceHandle),
-    Fleet(FleetHandle),
-}
-
-impl Route {
-    fn estimate(&self, shard: u32, features: Vec<f64>) -> Result<Estimate, ServeError> {
-        match self {
-            Route::Single(h) if shard == 0 => h.estimate(features),
-            Route::Single(_) => Err(ServeError::UnknownShard { shard }),
-            Route::Fleet(h) => h.estimate(shard, features),
-        }
-    }
-
-    fn note_deadline_trip(&self) {
-        match self {
-            Route::Single(h) => h.note_deadline_trip(),
-            Route::Fleet(h) => h.note_deadline_trip(),
-        }
-    }
-}
-
 /// Shared state every connection handler works against. Separated from the
 /// TCP accept loop so tests can drive [`serve_connection`] over in-memory
 /// pipes and fault injectors.
 pub struct ServerCore {
-    route: Route,
+    fleet: FleetHandle,
     serving: AtomicBool,
     hub: Option<Arc<ReplHub>>,
     counters: NetCounters,
@@ -134,23 +112,13 @@ pub struct ServerCore {
 }
 
 impl ServerCore {
-    /// `serving = false` starts the node as a refusing standby (requests
-    /// get `Unavailable { NotPrimary }` until [`ServerCore::set_serving`]).
-    /// `hub` enables standby subscriptions (primary role).
-    pub fn new(handle: ServiceHandle, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
-        Self::with_route(Route::Single(handle), serving, hub)
-    }
-
-    /// A core routing to a multi-tenant [`crate::fleet::Fleet`]: requests
-    /// carry a shard id on the wire (`EstimateReqShard`); ids outside the
-    /// fleet are refused with `Unavailable { UnknownShard }`.
+    /// A core answering from `fleet`. `serving = false` starts the node as
+    /// a refusing standby (requests get `Unavailable { NotPrimary }` until
+    /// [`ServerCore::set_serving`]). `hub` enables standby subscriptions
+    /// (primary role).
     pub fn new_fleet(fleet: FleetHandle, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
-        Self::with_route(Route::Fleet(fleet), serving, hub)
-    }
-
-    fn with_route(route: Route, serving: bool, hub: Option<Arc<ReplHub>>) -> Arc<Self> {
         Arc::new(Self {
-            route,
+            fleet,
             serving: AtomicBool::new(serving),
             hub,
             counters: NetCounters::default(),
@@ -239,7 +207,7 @@ fn note_recv_error(core: &Arc<ServerCore>, e: &NetError) {
         NetError::TimedOut => {
             if !core.stopped() {
                 core.counters.deadline_trips.fetch_add(1, Ordering::Relaxed);
-                core.route.note_deadline_trip();
+                core.fleet.note_deadline_trip();
             }
         }
         NetError::Corrupt(_) => {
@@ -265,7 +233,7 @@ fn answer_request(core: &Arc<ServerCore>, id: u64, shard: u32, features: Vec<f64
             reason: Refusal::NotPrimary,
         };
     }
-    match core.route.estimate(shard, features) {
+    match core.fleet.estimate(shard, features) {
         Ok(est) => {
             core.counters.responses_ok.fetch_add(1, Ordering::Relaxed);
             Msg::EstimateOk {

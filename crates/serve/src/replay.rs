@@ -1,7 +1,7 @@
 //! Load-generator / replay harness.
 //!
-//! One replay: train a model offline ([`prepare_single_table`]), start the
-//! estimation service over its snapshot, then have `clients` threads replay
+//! One replay: train a model offline ([`prepare_single_table`]), start a
+//! one-shard [`Fleet`] over its snapshot, then have `clients` threads replay
 //! a pre-generated query stream against it — optionally paced by an
 //! [`ArrivalProcess`], optionally hitting a mid-run [`DriftEvent`], and
 //! optionally adapting online ([`AdaptMode`]). Per-request latency lands in
@@ -25,18 +25,16 @@
 //! for any client count. [`AdaptMode::Background`] trades that for
 //! free-running adaptation (the latency-realistic mode).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use warper_ce::{CardinalityEstimator, Precision};
-use warper_core::detect::{CanarySet, SketchProbe};
 use warper_core::runner::{DataDriftKind, ModelKind};
 use warper_core::{
-    derive_seed, prepare_single_table, seed_stream, ArrivedQuery, FeatureMap, Supervisor,
-    SupervisorConfig, WarperConfig, WarperController, WarperError,
+    derive_seed, prepare_single_table, seed_stream, ArrivedQuery, FeatureMap, SupervisorConfig,
+    WarperConfig, WarperController, WarperError,
 };
 use warper_durable::{DurabilityConfig, DurableStore, RecoveryReport, Vfs};
 use warper_metrics::{gmq, LatencyHistogram, PAPER_THETA};
@@ -44,9 +42,10 @@ use warper_query::{Annotator, RangePredicate};
 use warper_storage::Table;
 use warper_workload::{ArrivalProcess, QueryGenerator};
 
-use crate::adapt::{AdaptConfig, AdaptStats, AdaptWorker};
-use crate::service::{EstimationService, ServeError, ServiceConfig, ServiceStats};
-use crate::snapshot::{ModelSnapshot, SnapshotCell};
+use crate::adapt::{AdaptConfig, AdaptStats, AdaptStep};
+use crate::fleet::{Fleet, FleetConfig, FleetStats, ShardAdapt, ShardKey, ShardSpec};
+use crate::service::ServeError;
+use crate::snapshot::ModelSnapshot;
 
 /// What changes mid-run.
 #[derive(Debug, Clone)]
@@ -120,8 +119,8 @@ pub struct ReplaySpec {
     pub drift: Option<DriftEvent>,
     /// Adaptation mode.
     pub adapt: AdaptMode,
-    /// Service shape.
-    pub service: ServiceConfig,
+    /// Shape of the one-shard fleet that serves the replay.
+    pub fleet: FleetConfig,
     /// Warper controller configuration (adaptation modes only).
     pub warper: WarperConfig,
     /// Master seed; all randomness derives from its named streams.
@@ -148,7 +147,7 @@ impl Default for ReplaySpec {
             clients: 4,
             drift: None,
             adapt: AdaptMode::None,
-            service: ServiceConfig::default(),
+            fleet: FleetConfig::single_tenant(),
             warper: WarperConfig::default(),
             seed: 7,
             pace: None,
@@ -159,7 +158,8 @@ impl Default for ReplaySpec {
     }
 }
 
-/// What the durability layer did during one replay.
+/// What the durability layer did during one replay (one per store in a
+/// fleet replay).
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityReport {
     /// Whether the state directory held a prior image the replay resumed.
@@ -192,6 +192,37 @@ pub struct DurabilityReport {
     pub checkpoint_secs: f64,
     /// Wall-clock seconds appending to the WAL.
     pub wal_secs: f64,
+}
+
+/// Summarizes `store`'s activity, plus the recovery it opened with (if it
+/// resumed a prior image). Call once the adaptation side has joined.
+pub(crate) fn durability_report(
+    store: &Mutex<DurableStore>,
+    rec: Option<&RecoveryReport>,
+) -> DurabilityReport {
+    let s = store.lock().unwrap_or_else(PoisonError::into_inner);
+    let stats = s.stats();
+    let mut d = DurabilityReport {
+        resumed: rec.is_some(),
+        final_seq: s.seq(),
+        checkpoints: stats.checkpoints,
+        checkpoint_failures: stats.checkpoint_failures,
+        wal_appends: stats.wal_appends,
+        wal_append_failures: stats.wal_append_failures,
+        checkpoint_secs: stats.checkpoint_secs,
+        wal_secs: stats.wal_secs,
+        ..DurabilityReport::default()
+    };
+    if let Some(rec) = rec {
+        d.resumed_from_seq = rec.snapshot_seq;
+        d.corrupt_snapshots = rec.corrupt_snapshots;
+        d.wal_records_replayed = rec.wal_records_replayed;
+        d.wal_truncated = rec.wal_truncated;
+        d.recovery_secs = rec.recovery_secs;
+        d.restored_pool_len = rec.pool_len;
+        d.restored_pool_labeled = rec.pool_labeled;
+    }
+    d
 }
 
 /// Everything a replay measured.
@@ -227,8 +258,8 @@ pub struct ReplayReport {
     /// refused by the GMQ gate (or the model has no quantized path), in
     /// which case the f64 fallback served.
     pub precision: Precision,
-    /// Service counters (batching, shed, rejects).
-    pub service: ServiceStats,
+    /// Counters of the serving fleet (batching, shed, rejects).
+    pub fleet: FleetStats,
     /// Adaptation stats (adaptation modes only).
     pub adapt: Option<AdaptStats>,
     /// Durability layer activity (only with [`ReplaySpec::durable`]).
@@ -260,82 +291,6 @@ pub(crate) fn checksum(results: &[(usize, u64)]) -> u64 {
         fold(bits);
     }
     h
-}
-
-/// The synchronous-mode adaptation state (controller + supervisor + the
-/// telemetry probes), driven at segment barriers.
-struct SyncAdapter {
-    ctl: WarperController,
-    model: Box<dyn CardinalityEstimator>,
-    sup: Supervisor,
-    probe: SketchProbe,
-    canaries: CanarySet,
-    stats: AdaptStats,
-    published: Arc<AtomicU64>,
-    quant_refusals: Arc<AtomicU64>,
-    store: Option<Arc<Mutex<DurableStore>>>,
-}
-
-impl SyncAdapter {
-    fn step(
-        &mut self,
-        arrived: &[ArrivedQuery],
-        table: &RwLock<Table>,
-        fmap: &FeatureMap,
-        annotator: &Annotator,
-    ) {
-        if arrived.is_empty() {
-            return;
-        }
-        let telemetry = {
-            let t = table.read().unwrap_or_else(PoisonError::into_inner);
-            self.probe.telemetry(&t, &self.canaries)
-        };
-        let store = self.store.clone();
-        let mut annotate = |qs: &[Vec<f64>]| -> Vec<Option<f64>> {
-            let preds: Vec<RangePredicate> = qs.iter().map(|f| fmap.defeaturize(f)).collect();
-            let labels: Vec<Option<f64>> = {
-                let t = table.read().unwrap_or_else(PoisonError::into_inner);
-                annotator
-                    .count_batch(&t, &preds)
-                    .into_iter()
-                    .map(|c| Some(c as f64))
-                    .collect()
-            };
-            if let Some(store) = &store {
-                crate::adapt::log_annotations(store, qs, &labels);
-            }
-            labels
-        };
-        if let Some(store) = &self.store {
-            crate::adapt::log_labeled_arrivals(store, arrived);
-        }
-        let t0 = Instant::now();
-        let report = self.sup.invoke(
-            &mut self.ctl,
-            self.model.as_mut(),
-            arrived,
-            &telemetry,
-            &mut annotate,
-        );
-        self.stats.adapt_secs += t0.elapsed().as_secs_f64();
-        self.stats.invocations += 1;
-        self.stats.annotated += report.annotated;
-        self.stats.generated += report.generated;
-        if report.rollback.is_some() {
-            self.stats.rollbacks += 1;
-        } else {
-            self.stats.commits += 1;
-        }
-    }
-
-    fn into_stats(self) -> AdaptStats {
-        let mut stats = self.stats;
-        stats.probe = self.probe.stats;
-        stats.published = self.published.load(Ordering::Relaxed) as usize;
-        stats.quant_refusals = self.quant_refusals.load(Ordering::Relaxed) as usize;
-        stats
-    }
 }
 
 pub(crate) fn build_controller(
@@ -447,128 +402,67 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
         quant_tolerance,
     );
     drop(probe_refs);
-    let cell = Arc::new(SnapshotCell::new(
-        ModelSnapshot::initial(serving).with_precision(initial_precision),
-    ));
+    let snapshot = Arc::new(ModelSnapshot::initial(serving).with_precision(initial_precision));
     let shared = Arc::new(RwLock::new(table.clone()));
     let annotator = Annotator::new();
 
-    enum Adapter {
-        None,
-        Background(AdaptWorker),
-        Sync(Box<SyncAdapter>),
-    }
-
-    // Adaptation-side controller: resumed from the recovered image when one
-    // exists (its pool already contains every replayed label), else fresh.
-    let mut make_ctl =
-        || -> Result<WarperController, WarperError> {
-            match recovered_state.take() {
-                Some(state) => Ok(WarperController::from_state(state)?
-                    .with_canonicalizer(fmap.make_canonicalizer())),
-                None => Ok(build_controller(
+    // ---- Adaptation side. Background mode hands it to the fleet's worker;
+    // synchronous mode runs the same step at the segment barriers, seeded
+    // from the spec so the whole replay reproduces.
+    let adapt_cfg = match &spec.adapt {
+        AdaptMode::None => None,
+        AdaptMode::Background(cfg) => Some(AdaptConfig {
+            seed: spec.seed,
+            precision: spec.precision,
+            ..*cfg
+        }),
+        AdaptMode::Synchronous { supervisor, .. } => Some(AdaptConfig {
+            supervisor: *supervisor,
+            canaries: spec.warper.canaries,
+            seed: spec.seed,
+            precision: spec.precision,
+            ..AdaptConfig::default()
+        }),
+    };
+    let adapt = match adapt_cfg {
+        None => None,
+        Some(cfg) => {
+            // The controller resumes from the recovered image when one
+            // exists (its pool already contains every replayed label).
+            let ctl = match recovered_state {
+                Some(state) => WarperController::from_state(state)?
+                    .with_canonicalizer(fmap.make_canonicalizer()),
+                None => build_controller(
                     &fmap,
                     &prepared.training_set,
                     prepared.baseline_gmq,
                     spec.warper,
                     spec.seed,
-                )),
-            }
-        };
-    // A fresh directory gets an immediate base checkpoint so labels logged
-    // before the first commit have a snapshot to replay onto.
-    let initial_checkpoint = |store: &Arc<Mutex<DurableStore>>,
-                              ctl: &WarperController,
-                              model: &dyn CardinalityEstimator| {
-        let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
-        if s.seq() == 0 {
-            let _ = s.checkpoint(&ctl.to_state(), Some(model));
-        }
-    };
-
-    let mut adapter = match &spec.adapt {
-        AdaptMode::None => Adapter::None,
-        AdaptMode::Background(cfg) => {
-            let cfg = AdaptConfig {
-                seed: spec.seed,
-                precision: spec.precision,
-                ..*cfg
+                ),
             };
-            let ctl = make_ctl()?;
+            // A fresh directory gets an immediate base checkpoint so labels
+            // logged before the first commit have a snapshot to replay onto.
             if let Some(store) = &store {
-                initial_checkpoint(store, &ctl, adapt_model.as_ref());
+                let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
+                if s.seq() == 0 {
+                    let _ = s.checkpoint(&ctl.to_state(), Some(adapt_model.as_ref()));
+                }
             }
-            Adapter::Background(AdaptWorker::spawn_with_store(
-                ctl,
-                adapt_model,
-                Arc::clone(&cell),
-                Arc::clone(&shared),
-                fmap.clone(),
-                cfg,
-                store.clone(),
-            ))
-        }
-        AdaptMode::Synchronous { supervisor, .. } => {
-            let mut ctl = make_ctl()?;
-            if let Some(store) = &store {
-                initial_checkpoint(store, &ctl, adapt_model.as_ref());
-            }
-            let published = Arc::new(AtomicU64::new(0));
-            let quant_refusals = Arc::new(AtomicU64::new(0));
-            let hook_cell = Arc::clone(&cell);
-            let hook_published = Arc::clone(&published);
-            let hook_refusals = Arc::clone(&quant_refusals);
-            let hook_store = store.clone();
-            let hook_precision = spec.precision;
-            let hook_tolerance = supervisor.quant_gmq_tolerance;
-            let sup =
-                Supervisor::new(*supervisor).with_commit_hook(Box::new(move |state, model| {
-                    let next = hook_cell.version() + 1;
-                    if let Some(full) = model.snapshot() {
-                        let probes = crate::quant::probe_features(state);
-                        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-                        let (serving, served, outcome) = crate::quant::prepare_serving_model(
-                            model,
-                            full,
-                            hook_precision,
-                            &refs,
-                            hook_tolerance,
-                        );
-                        if matches!(outcome, crate::quant::QuantOutcome::Refused(_)) {
-                            hook_refusals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Ok(snap) = ModelSnapshot::committed(next, serving, state) {
-                            hook_cell.publish(snap.with_precision(served));
-                            hook_published.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if let Some(store) = &hook_store {
-                        let mut s = store.lock().unwrap_or_else(PoisonError::into_inner);
-                        let _ = s.note_commit(state, Some(model));
-                    }
-                }));
-            let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, seed_stream::ADAPT));
-            let (probe, canaries) = {
-                let t = shared.read().unwrap_or_else(PoisonError::into_inner);
-                let probe = match ctl.sketch_baseline() {
-                    Some(b) => SketchProbe::from_baseline(b.clone(), ctl.config()),
-                    None => SketchProbe::new(&t, ctl.config()),
-                };
-                (probe, CanarySet::new(&t, spec.warper.canaries, &mut rng))
-            };
-            ctl.set_sketch_baseline(Some(probe.baseline().clone()));
-            Adapter::Sync(Box::new(SyncAdapter {
+            Some(ShardAdapt {
                 ctl,
                 model: adapt_model,
-                sup,
-                probe,
-                canaries,
-                stats: AdaptStats::default(),
-                published,
-                quant_refusals,
+                table: Arc::clone(&shared),
+                fmap: fmap.clone(),
+                cfg,
                 store: store.clone(),
-            }))
+            })
         }
+    };
+    let background = matches!(spec.adapt, AdaptMode::Background(_));
+    let (worker_adapt, barrier_adapt) = if background {
+        (adapt, None)
+    } else {
+        (None, adapt)
     };
 
     // ---- Segment plan: barriers at the drift point and (synchronous mode)
@@ -581,12 +475,20 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
     boundaries.sort_unstable();
     boundaries.dedup();
 
-    let service = EstimationService::start(Arc::clone(&cell), spec.service);
-    let handle = service.handle();
+    let fleet = Fleet::start(
+        vec![ShardSpec {
+            key: ShardKey::new("replay", "main"),
+            snapshot,
+            adapt: worker_adapt,
+        }],
+        spec.fleet,
+    );
+    let cell = Arc::clone(fleet.cell(0).expect("one-shard fleet"));
+    let mut barrier_step = barrier_adapt.map(|a| AdaptStep::new(a, Arc::clone(&cell)));
+    let handle = fleet.handle();
     let clients = spec.clients.max(1);
     let start = Instant::now();
     let mut logs: Vec<ClientLog> = Vec::with_capacity(clients);
-    let mut pending: Vec<ArrivedQuery> = Vec::new();
 
     for w in boundaries.windows(2) {
         let (seg_start, seg_end) = (w[0], w[1]);
@@ -598,12 +500,7 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
             let handles: Vec<_> = (0..clients)
                 .map(|c| {
                     let handle = handle.clone();
-                    let cell = &cell;
-                    let feats = &feats;
-                    let adapter_ref = match &adapter {
-                        Adapter::Background(w) => Some(w),
-                        _ => None,
-                    };
+                    let (fleet, cell, feats) = (&fleet, &cell, &feats);
                     s.spawn(move || {
                         let mut log = ClientLog::default();
                         for idx in (seg_start..seg_end).filter(|i| i % clients == c) {
@@ -615,17 +512,20 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
                                 }
                             }
                             let t0 = Instant::now();
-                            match handle.estimate(feats[idx].clone()) {
+                            match handle.estimate(0, feats[idx].clone()) {
                                 Ok(est) => {
                                     log.hist.record_duration(t0.elapsed());
                                     log.results.push((idx, est.value.to_bits()));
                                     let stale = cell.version().saturating_sub(est.generation);
                                     log.max_staleness = log.max_staleness.max(stale);
-                                    if let Some(worker) = adapter_ref {
-                                        worker.observe(ArrivedQuery {
-                                            features: feats[idx].clone(),
-                                            gt: None,
-                                        });
+                                    if background {
+                                        fleet.observe(
+                                            0,
+                                            ArrivedQuery {
+                                                features: feats[idx].clone(),
+                                                gt: None,
+                                            },
+                                        );
                                     }
                                 }
                                 Err(ServeError::Shed | ServeError::ShedDeadline) => log.shed += 1,
@@ -650,50 +550,25 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
                 *t = post.clone();
             }
         }
-        if let Adapter::Sync(sync) = &mut adapter {
-            pending.extend((seg_start..seg_end).map(|idx| ArrivedQuery {
-                features: feats[idx].clone(),
-                gt: None,
-            }));
-            sync.step(&pending, &shared, &fmap, &annotator);
-            pending.clear();
+        if let Some(step) = &mut barrier_step {
+            let arrived: Vec<ArrivedQuery> = (seg_start..seg_end)
+                .map(|idx| ArrivedQuery {
+                    features: feats[idx].clone(),
+                    gt: None,
+                })
+                .collect();
+            step.run(&arrived);
         }
     }
 
     let wall_secs = start.elapsed().as_secs_f64();
-    let service_stats = service.shutdown();
-    let adapt_stats = match adapter {
-        Adapter::None => None,
-        Adapter::Background(worker) => Some(worker.finish()),
-        Adapter::Sync(sync) => Some(sync.into_stats()),
+    let (fleet_stats, _, worker_stats) = fleet.shutdown();
+    let adapt_stats = match barrier_step {
+        Some(step) => Some(step.finish()),
+        None => worker_stats.into_iter().next().map(|(_, a)| a),
     };
-
-    // ---- Durability summary (the worker has joined; the store is idle).
-    let durability = store.map(|store| {
-        let s = store.lock().unwrap_or_else(PoisonError::into_inner);
-        let stats = s.stats();
-        let mut d = DurabilityReport {
-            resumed: recovery.is_some(),
-            final_seq: s.seq(),
-            checkpoints: stats.checkpoints,
-            checkpoint_failures: stats.checkpoint_failures,
-            wal_appends: stats.wal_appends,
-            wal_append_failures: stats.wal_append_failures,
-            checkpoint_secs: stats.checkpoint_secs,
-            wal_secs: stats.wal_secs,
-            ..DurabilityReport::default()
-        };
-        if let Some(rec) = recovery {
-            d.resumed_from_seq = rec.snapshot_seq;
-            d.corrupt_snapshots = rec.corrupt_snapshots;
-            d.wal_records_replayed = rec.wal_records_replayed;
-            d.wal_truncated = rec.wal_truncated;
-            d.recovery_secs = rec.recovery_secs;
-            d.restored_pool_len = rec.pool_len;
-            d.restored_pool_labeled = rec.pool_labeled;
-        }
-        d
-    });
+    // The adaptation side has joined; the store is idle.
+    let durability = store.map(|store| durability_report(&store, recovery.as_ref()));
 
     // ---- Merge client logs.
     let mut latency = LatencyHistogram::new();
@@ -755,7 +630,7 @@ pub fn run_replay(table: &Table, spec: &ReplaySpec) -> Result<ReplayReport, Warp
         max_staleness,
         spot_gmq_pre,
         spot_gmq_post,
-        service: service_stats,
+        fleet: fleet_stats,
         adapt: adapt_stats,
         durability,
     })
@@ -867,5 +742,8 @@ mod tests {
         );
         let adapt = a.adapt.unwrap();
         assert!(adapt.invocations >= 2, "{adapt:?}");
+        assert_eq!(adapt.invocations, adapt.commits + adapt.rollbacks);
+        assert_eq!(adapt.published + adapt.publish_failures, adapt.commits);
+        assert_eq!(a.generations_published, adapt.published as u64);
     }
 }

@@ -8,9 +8,9 @@
 //! estimate and a reader can never observe a half-written model.
 //!
 //! The cell is deliberately built from `std` primitives only (one atomic,
-//! one mutex): the fast path — the version check every request performs —
-//! is a single `Acquire` load, and the mutex is touched only on publish and
-//! on the first read after a publish.
+//! one mutex): [`SnapshotCell::version`] is a single `Acquire` load, and a
+//! [`SnapshotCell::load`] clones the current `Arc` under the mutex — the
+//! fleet's workers take one load per shard sub-batch, not per request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -20,9 +20,8 @@ use warper_core::{WarperError, WarperState};
 
 /// A single-publisher, many-reader cell holding the current snapshot.
 ///
-/// Writers go through [`SnapshotCell::publish`]; readers either call
-/// [`SnapshotCell::load`] directly or, on hot paths, cache the `Arc` in a
-/// [`SnapshotReader`] and revalidate it with one atomic load per access.
+/// Writers go through [`SnapshotCell::publish`]; readers call
+/// [`SnapshotCell::load`].
 pub struct SnapshotCell<T> {
     /// Published version, bumped *after* the slot holds the new value
     /// (`Release`); readers pair it with an `Acquire` load so a version
@@ -81,35 +80,6 @@ impl<T> SnapshotCell<T> {
     }
 }
 
-/// A reader-side cache over a [`SnapshotCell`]: the common case (no publish
-/// since the last access) costs one atomic load and returns the cached
-/// `Arc` without touching the mutex.
-pub struct SnapshotReader<T> {
-    cell: Arc<SnapshotCell<T>>,
-    seen: u64,
-    cached: Arc<T>,
-}
-
-impl<T> SnapshotReader<T> {
-    /// A reader over `cell`, primed with the current snapshot.
-    pub fn new(cell: Arc<SnapshotCell<T>>) -> Self {
-        let (seen, cached) = cell.load();
-        Self { cell, seen, cached }
-    }
-
-    /// The current snapshot and its version, revalidating the cache with a
-    /// single atomic load.
-    pub fn current(&mut self) -> (u64, &Arc<T>) {
-        let v = self.cell.version.load(Ordering::Acquire);
-        if v != self.seen {
-            let (seen, cached) = self.cell.load();
-            self.seen = seen;
-            self.cached = cached;
-        }
-        (self.seen, &self.cached)
-    }
-}
-
 /// What the serving workers answer from: an immutable, validated model
 /// behind a generation number.
 pub struct ModelSnapshot {
@@ -161,27 +131,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn publish_bumps_version_and_readers_catch_up() {
-        let cell = Arc::new(SnapshotCell::new(10u32));
-        let mut reader = SnapshotReader::new(Arc::clone(&cell));
+    fn publish_bumps_version_and_loads_catch_up() {
+        let cell = SnapshotCell::new(10u32);
         assert_eq!(cell.version(), 0);
-        let (v, snap) = reader.current();
-        assert_eq!((v, **snap), (0, 10));
+        let (v, snap) = cell.load();
+        assert_eq!((v, *snap), (0, 10));
 
         assert_eq!(cell.publish(11), 1);
         assert_eq!(cell.publish(12), 2);
         assert_eq!(cell.version(), 2);
-        let (v, snap) = reader.current();
-        assert_eq!((v, **snap), (2, 12));
-    }
-
-    #[test]
-    fn reader_cache_survives_no_publish() {
-        let cell = Arc::new(SnapshotCell::new(String::from("a")));
-        let mut reader = SnapshotReader::new(Arc::clone(&cell));
-        let first = Arc::as_ptr(reader.current().1);
-        // No publish in between: the very same Arc comes back.
-        assert_eq!(Arc::as_ptr(reader.current().1), first);
+        let (v, snap) = cell.load();
+        assert_eq!((v, *snap), (2, 12));
     }
 
     #[test]
@@ -206,10 +166,9 @@ mod tests {
             for _ in 0..4 {
                 let cell = Arc::clone(&cell);
                 s.spawn(move || {
-                    let mut reader = SnapshotReader::new(cell);
                     for _ in 0..20_000 {
-                        let (v, snap) = reader.current();
-                        assert_eq!(v, **snap);
+                        let (v, snap) = cell.load();
+                        assert_eq!(v, *snap);
                     }
                 });
             }

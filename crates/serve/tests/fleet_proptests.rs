@@ -164,8 +164,10 @@ proptest! {
 
 /// A deliberately slow toy model: holds each estimate long enough that a
 /// tiny admission queue must overflow under concurrent offered load.
+/// Answers `base + f[0]`.
 struct SlowModel {
     delay: Duration,
+    base: f64,
 }
 
 impl CardinalityEstimator for SlowModel {
@@ -176,7 +178,7 @@ impl CardinalityEstimator for SlowModel {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
-        100.0 + f[0]
+        self.base + f[0]
     }
     fn fit(&mut self, _e: &[LabeledExample]) {}
     fn update(&mut self, _e: &[LabeledExample]) {}
@@ -192,7 +194,10 @@ fn toy_fleet(n_shards: usize, delay: Duration, cfg: FleetConfig) -> Fleet {
     let specs = (0..n_shards)
         .map(|i| ShardSpec {
             key: ShardKey::new(format!("toy-{i}"), "main"),
-            snapshot: Arc::new(ModelSnapshot::initial(Box::new(SlowModel { delay }))),
+            snapshot: Arc::new(ModelSnapshot::initial(Box::new(SlowModel {
+                delay,
+                base: 100.0,
+            }))),
             adapt: None,
         })
         .collect();
@@ -280,6 +285,53 @@ fn queue_overflow_counts_as_admission_shed_only() {
         "admission sheds must not leak into the deadline counter"
     );
     assert_eq!(per_shard[0].shed, shed);
+}
+
+// ---------------------------------------------------------------------------
+// One-shard fleets: the single-tenant serving core
+// ---------------------------------------------------------------------------
+
+#[test]
+fn feature_dim_mismatch_is_rejected_for_that_request_only() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::single_tenant());
+    let handle = fleet.handle();
+    assert_eq!(
+        handle.estimate(0, vec![0.0; 5]),
+        Err(ServeError::FeatureDim {
+            expected: 2,
+            got: 5
+        })
+    );
+    assert_eq!(handle.estimate(0, vec![1.0, 0.0]).unwrap().value, 101.0);
+    let (stats, _, _) = fleet.shutdown();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.served, 1);
+}
+
+#[test]
+fn requests_after_shutdown_are_closed_not_hung() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::single_tenant());
+    let handle = fleet.handle();
+    drop(fleet);
+    assert_eq!(handle.estimate(0, vec![0.0; 2]), Err(ServeError::Closed));
+}
+
+#[test]
+fn published_snapshot_takes_over_new_requests() {
+    let fleet = toy_fleet(1, Duration::ZERO, FleetConfig::single_tenant());
+    let handle = fleet.handle();
+    assert_eq!(handle.estimate(0, vec![0.0; 2]).unwrap().value, 100.0);
+    fleet.cell(0).unwrap().publish(ModelSnapshot {
+        generation: 1,
+        model: Box::new(SlowModel {
+            delay: Duration::ZERO,
+            base: 5.0,
+        }),
+        precision: Precision::F64,
+    });
+    let est = handle.estimate(0, vec![0.0; 2]).unwrap();
+    assert_eq!(est.value, 5.0);
+    assert_eq!(est.generation, 1);
 }
 
 // ---------------------------------------------------------------------------

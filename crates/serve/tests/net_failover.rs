@@ -28,7 +28,20 @@ use warper_serve::net::{
     NetFailPlan, NetFaultKind, NetServerConfig, ReplHub, ReplicatedStore, Role, ServerCore,
     StandbyApplier, NET_PROTO,
 };
-use warper_serve::{EstimationService, ModelSnapshot, ServiceConfig, SnapshotCell};
+use warper_serve::{Fleet, FleetConfig, ModelSnapshot, ShardKey, ShardSpec, SnapshotCell};
+
+/// A one-shard fleet serving a fresh `LmLinear` — the estimate side of a
+/// node whose replication link is under test.
+fn linear_fleet(cfg: FleetConfig) -> Fleet {
+    Fleet::start(
+        vec![ShardSpec {
+            key: ShardKey::new("node", "main"),
+            snapshot: Arc::new(ModelSnapshot::initial(Box::new(LmLinear::new(4)))),
+            adapt: None,
+        }],
+        cfg,
+    )
+}
 
 /// One healthy controller state, built once (controller construction
 /// pre-trains the GAN — too slow to repeat per fault schedule).
@@ -104,19 +117,13 @@ fn run_scenario(plan: Option<NetFailPlan>, n_labels: usize) -> Scenario {
             .expect("startup checkpoint");
     }
 
-    // The handler needs a live service handle even though this scenario
+    // The handler needs a live fleet handle even though this scenario
     // never sends estimate traffic over the replication link.
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        LmLinear::new(4),
-    ))));
-    let service = EstimationService::start(
-        Arc::clone(&cell),
-        ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    let core = ServerCore::new(service.handle(), true, Some(Arc::clone(&hub)));
+    let fleet = linear_fleet(FleetConfig {
+        workers: 1,
+        ..FleetConfig::single_tenant()
+    });
+    let core = ServerCore::new_fleet(fleet.handle(), true, Some(Arc::clone(&hub)));
     let cfg = NetServerConfig {
         read_deadline: Duration::from_secs(2),
         write_deadline: Duration::from_secs(2),
@@ -206,7 +213,7 @@ fn run_scenario(plan: Option<NetFailPlan>, n_labels: usize) -> Scenario {
     kill.shutdown();
     let (applier, ops) = standby.join().expect("standby thread joins");
     let _ = server.join();
-    service.shutdown();
+    fleet.shutdown();
     Scenario {
         replicated,
         standby_vfs,
@@ -352,11 +359,8 @@ fn clients_get_typed_errors_and_never_hang_across_link_faults() {
         }
     }
 
-    let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(Box::new(
-        LmLinear::new(4),
-    ))));
-    let service = EstimationService::start(Arc::clone(&cell), ServiceConfig::default());
-    let core = ServerCore::new(service.handle(), true, None);
+    let fleet = linear_fleet(FleetConfig::single_tenant());
+    let core = ServerCore::new_fleet(fleet.handle(), true, None);
     let cfg = NetServerConfig {
         read_deadline: Duration::from_millis(500),
         write_deadline: Duration::from_millis(500),
@@ -410,7 +414,7 @@ fn clients_get_typed_errors_and_never_hang_across_link_faults() {
         "bounded retry must absorb the four injected faults (ok={ok}/12)"
     );
     core.stop();
-    service.shutdown();
+    fleet.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Property: readers can never observe a partially committed snapshot.
 //!
-//! Concurrent clients hammer the estimation service while the adaptation
+//! Concurrent clients hammer a one-shard fleet while the adaptation
 //! side runs supervised commit/rollback cycles — some deliberately
 //! sabotaged so they *must* roll back. The publication hook records every
 //! value a committed model can produce *before* it swaps the cell, so the
@@ -18,8 +18,8 @@ use warper_ce::{CardinalityEstimator, LabeledExample, UpdateKind};
 use warper_core::detect::DataTelemetry;
 use warper_core::{ArrivedQuery, Supervisor, SupervisorConfig, WarperConfig, WarperController};
 use warper_serve::{
-    gate_and_choose, EstimationService, ModelSnapshot, Precision, QuantOutcome, ServeError,
-    ServiceConfig, SnapshotCell, SnapshotReader,
+    gate_and_choose, Fleet, FleetConfig, ModelSnapshot, Precision, QuantOutcome, ServeError,
+    ShardKey, ShardSpec, SnapshotCell,
 };
 
 /// The probe every reader sends; a model's identity is its answer to it.
@@ -136,9 +136,23 @@ proptest! {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(model.estimate(&PROBE).to_bits());
 
-        let cell = Arc::new(SnapshotCell::new(ModelSnapshot::initial(
-            model.snapshot().expect("toy snapshots"),
-        )));
+        let fleet = Fleet::start(
+            vec![ShardSpec {
+                key: ShardKey::new("toy", "main"),
+                snapshot: Arc::new(ModelSnapshot::initial(
+                    model.snapshot().expect("toy snapshots"),
+                )),
+                adapt: None,
+            }],
+            FleetConfig {
+                workers: 2,
+                per_shard_queue: 256,
+                max_packed_batch: 16,
+                pack_linger: std::time::Duration::from_micros(50),
+                ..FleetConfig::default()
+            },
+        );
+        let cell = Arc::clone(fleet.cell(0).expect("one-shard fleet"));
         let hook_cell = Arc::clone(&cell);
         let hook_committed = Arc::clone(&committed);
         let mut sup = Supervisor::new(SupervisorConfig::default()).with_commit_hook(Box::new(
@@ -158,14 +172,7 @@ proptest! {
             },
         ));
 
-        let service = EstimationService::start(Arc::clone(&cell), ServiceConfig {
-            workers: 2,
-            queue_capacity: 256,
-            max_batch: 16,
-            batch_linger: std::time::Duration::from_micros(50),
-            ..ServiceConfig::default()
-        });
-        let handle = service.handle();
+        let handle = fleet.handle();
         let stop = AtomicBool::new(false);
 
         let mut expected_commits = 1usize; // warm-up step
@@ -178,7 +185,7 @@ proptest! {
                 s.spawn(move || {
                     let mut seen = 0u32;
                     while !stop.load(Ordering::Relaxed) || seen == 0 {
-                        match h.estimate(PROBE.to_vec()) {
+                        match h.estimate(0, PROBE.to_vec()) {
                             Ok(est) => {
                                 seen += 1;
                                 let ok = committed
@@ -229,7 +236,7 @@ proptest! {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        let stats = service.shutdown();
+        let (stats, _, _) = fleet.shutdown();
 
         // Exactly one generation per commit; rollbacks published nothing.
         prop_assert_eq!(cell.version(), expected_commits as u64);
@@ -324,7 +331,7 @@ proptest! {
         let mut expected_refusals = 0usize;
         std::thread::scope(|s| {
             for _ in 0..readers {
-                let mut reader = SnapshotReader::new(Arc::clone(&cell));
+                let cell = Arc::clone(&cell);
                 let quant_ok = Arc::clone(&quant_ok);
                 let full_ok = Arc::clone(&full_ok);
                 let refused = Arc::clone(&refused);
@@ -332,7 +339,7 @@ proptest! {
                 s.spawn(move || {
                     let mut seen = 0u32;
                     while !stop.load(Ordering::Relaxed) || seen == 0 {
-                        let (_, snap) = reader.current();
+                        let (_, snap) = cell.load();
                         let bits = snap.model.estimate(&PROBE).to_bits();
                         seen += 1;
                         assert!(

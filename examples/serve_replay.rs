@@ -64,7 +64,7 @@ fn main() {
         rep.shed,
         rep.errors,
         rep.throughput_qps,
-        rep.service.mean_batch()
+        rep.fleet.mean_gemm_batch()
     );
     println!("latency: p50 {p50:.0}us  p95 {p95:.0}us  p99 {p99:.0}us  max {max:.0}us");
 

@@ -355,7 +355,7 @@ fn print_replay(rep: &warper_repro::serve::ReplayReport) {
         rep.shed,
         rep.errors,
         rep.throughput_qps,
-        rep.service.mean_batch()
+        rep.fleet.mean_gemm_batch()
     );
     println!("latency µs: p50={p50:.0} p95={p95:.0} p99={p99:.0} max={max:.0}");
     println!(
@@ -920,7 +920,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     // Dispatch: `--standby-of` wins (a standby may also `--listen`), then
     // `--listen` starts a networked node (`--shards` makes it a fleet),
     // then `--shards` alone runs the in-process fleet replay; only a bare
-    // invocation falls through to the single-service replay harness.
+    // invocation falls through to the single-tenant replay harness.
     if flags.contains_key("standby-of") {
         return cmd_serve_standby(flags);
     }
@@ -1155,7 +1155,7 @@ fn cmd_loadgen_net(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 fn cmd_loadgen(flags: &HashMap<String, String>) -> ExitCode {
-    use warper_repro::serve::{run_replay, ReplaySpec, ServiceConfig};
+    use warper_repro::serve::{run_replay, FleetConfig, ReplaySpec};
 
     if flags.contains_key("connect") {
         return cmd_loadgen_net(flags);
@@ -1195,9 +1195,9 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> ExitCode {
         n_train: 400,
         n_queries: queries,
         clients,
-        service: ServiceConfig {
-            max_batch: batch,
-            ..Default::default()
+        fleet: FleetConfig {
+            max_packed_batch: batch,
+            ..FleetConfig::single_tenant()
         },
         precision,
         seed,
