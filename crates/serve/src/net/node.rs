@@ -124,7 +124,7 @@ pub struct PrimaryReport {
 /// plus the network and replication layers.
 pub struct PrimaryNode {
     server: Option<NetServer>,
-    fleet: Option<Fleet>,
+    fleet: Fleet,
     repl: ReplicatedStore,
     hub: Arc<ReplHub>,
     fmap: FeatureMap,
@@ -214,7 +214,7 @@ impl PrimaryNode {
         let addr = server.local_addr().to_string();
         Ok(Self {
             server: Some(server),
-            fleet: Some(fleet),
+            fleet,
             repl,
             hub,
             fmap,
@@ -235,10 +235,7 @@ impl PrimaryNode {
     /// In-process submission handle (bypasses the network). The node
     /// serves shard 0.
     pub fn handle(&self) -> FleetHandle {
-        self.fleet
-            .as_ref()
-            .expect("fleet runs until shutdown")
-            .handle()
+        self.fleet.handle()
     }
 
     /// The replication hub (standby shippers fetch from it).
@@ -254,9 +251,7 @@ impl PrimaryNode {
     /// Feed one labeled arrival to the adaptation loop (its WAL path
     /// replicates through the store tap).
     pub fn observe(&self, features: Vec<f64>, gt: Option<f64>) {
-        if let Some(fleet) = &self.fleet {
-            fleet.observe(0, ArrivedQuery { features, gt });
-        }
+        self.fleet.observe(0, ArrivedQuery { features, gt });
     }
 
     /// Durably log one label, optionally waiting for the standby's ack.
@@ -279,18 +274,11 @@ impl PrimaryNode {
             .take()
             .map(NetServer::shutdown)
             .unwrap_or_default();
-        let (fleet, adapt) = match self.fleet.take() {
-            Some(fleet) => {
-                let (stats, _, adapt) = fleet.shutdown();
-                let adapt = adapt.into_iter().next().map(|(_, a)| a);
-                (stats, adapt.unwrap_or_default())
-            }
-            None => Default::default(),
-        };
+        let (fleet, _, adapt) = self.fleet.shutdown();
         PrimaryReport {
             net,
             fleet,
-            adapt,
+            adapt: adapt.into_iter().next().map(|(_, a)| a).unwrap_or_default(),
             repl: self.hub.stats(),
             lag,
         }
